@@ -9,10 +9,13 @@ The package has four small parts:
   :class:`~repro.engine.executors.MicroBatchExecutor` instances with bounded
   queues, explicit backpressure, LRU session eviction and a drain path whose
   output is canonically identical to a sequential batch run;
-* :mod:`repro.service.workers` — the ``transport="process"`` execution tier:
-  one worker process per shard, attached zero-copy to the shared
-  :class:`~repro.parallel.context.GeoContext`, fed batched pre-encoded event
-  frames over pipes (this is what lets throughput scale past the GIL);
+* :mod:`repro.service.workers` — the shard protocol: one batch step and two
+  handles behind one send/ack/respawn contract — a dedicated thread per
+  shard (``transport="thread"``, zero IPC), or one worker process per shard
+  attached zero-copy to the shared
+  :class:`~repro.parallel.context.GeoContext` and fed batched pre-encoded
+  event frames over pipes (``transport="process"``, what lets throughput
+  scale past the GIL);
 * :mod:`repro.service.http` — an optional stdlib-only HTTP facade
   (``POST /ingest``, ``GET /metrics``, …) for emitters that speak JSON over
   a socket instead of calling into the process.

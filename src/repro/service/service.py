@@ -4,7 +4,9 @@
 sharded :class:`~repro.engine.executors.MicroBatchExecutor` instances — the
 same streaming session loop :class:`StreamingAnnotationEngine` drives, but
 fanned out across shards so heavy traffic from many emitters does not
-serialise behind one session registry:
+serialise behind one session registry.  The service is one router tier
+(this module, a single event loop) over one shard protocol
+(:mod:`repro.service.workers`):
 
 * **routing** — events are routed to a shard by consistent-hashing the object
   id (:mod:`repro.service.routing`), so all trajectories of one object share
@@ -24,54 +26,61 @@ serialise behind one session registry:
   :meth:`~repro.core.pipeline.SeMiTriPipeline.annotate_many` over the
   delivered events;
 * **telemetry** — per-shard queue-depth gauges, events/results counters and a
-  service-wide enqueue-to-absorbed latency histogram live in a PR 6
+  service-wide enqueue-to-absorbed latency histogram live in a
   :class:`~repro.obs.metrics.MetricsRegistry`, Prometheus rendering included.
 
-Where shard executors *run* is the ``config.service.transport`` knob:
+Per shard, one consumer task forms micro-batches from the queue and sends
+them through the shard's handle, and one reader task awaits the handle's
+FIFO acks and folds them in (results, counters, quarantines, batch
+errors).  ``config.service.transport`` only picks the handle:
 
-* ``"thread"`` — every shard's executor lives in this process on a thread
-  pool (one hand-off per micro-batch, one in-flight batch per shard).  The
-  event loop stays free for I/O, but the GIL serializes the annotation work
-  itself, so added shards buy isolation and fairness rather than throughput;
-* ``"process"`` — each shard's executor runs in its own worker process
-  (:mod:`repro.service.workers`), attached zero-copy to the parent's
-  :class:`~repro.parallel.context.GeoContext` (PR 7's shared-memory
-  machinery).  Events cross the boundary in batched pre-encoded frames over
-  ``multiprocessing`` pipes; a small reader task per shard streams sealed
-  results back incrementally, so ``on_result`` ordering, the latency
-  histogram and the drain-time deterministic commit are preserved.  A dead
-  worker is respawned and its journal prefix replayed (see
-  :meth:`AnnotationService._recover_shard`) — only proven poison objects are
-  quarantined;
+* ``"thread"`` — :class:`~repro.service.workers.ShardThreadHandle` steps the
+  shard on one dedicated thread in this process, one batch in flight.  Zero
+  IPC, but the GIL serializes the annotation work itself, so added shards buy
+  isolation and fairness rather than throughput;
+* ``"process"`` — :class:`~repro.service.workers.ShardProcessHandle` steps it
+  in a worker process attached zero-copy to the parent's
+  :class:`~repro.parallel.context.GeoContext`, fed batched pre-encoded
+  frames over pipes.  A dead worker surfaces as EOF and is respawned with
+  its journal prefix replayed (see :meth:`AnnotationService._recover_shard`)
+  — only proven poison objects are quarantined;
 * ``"auto"`` — ``process`` on multi-core hosts, ``thread`` on a single core.
 
 Either way, per-shard absorption order equals enqueue order, which is what
-the cross-transport parity tests pin down.
+the cross-transport parity tests pin down.  The IPC counters and the worker
+pid gauge stay 0 under the thread handle.
 """
 
 from __future__ import annotations
 
 import asyncio
-import sqlite3
+import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.config import PipelineConfig
 from repro.core.errors import ConfigurationError, SemitriError, ServiceError
 from repro.core.pipeline import AnnotationSources, PipelineResult
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.engine.executors import MicroBatchExecutor, _pool_mp_context
-from repro.engine.plan import Plan
+from repro.engine.executors import _pool_mp_context
 from repro.faults.failures import FailureEvent, FailureLog, TrajectoryFailure
 from repro.faults.inject import FaultInjector
 from repro.faults.journal import IngestJournal, JournalRecord
-from repro.obs.metrics import MetricsRegistry, ServiceMetrics, ShardMetrics
+from repro.obs.metrics import MetricsRegistry, ServiceMetrics
 from repro.parallel.context import GeoContext
 from repro.parallel.shared import SharedContextSpec, SharedGeoContext, share_context
 from repro.service.routing import ConsistentHashRing
-from repro.service.workers import DRAIN_FRAME, ShardProcessHandle
+from repro.service.workers import (
+    CLOSE,
+    DRAIN,
+    EVENT,
+    EVICT,
+    Ack,
+    ShardHandle,
+    ShardProcessHandle,
+    ShardThreadHandle,
+)
 from repro.store.store import SemanticTrajectoryStore
 
 __all__ = ["AnnotationService", "ServiceStats"]
@@ -79,13 +88,12 @@ __all__ = ["AnnotationService", "ServiceStats"]
 #: Queue sentinel that tells a shard consumer the stream is over.
 _STOP = object()
 
-#: Queue item kinds (events and per-object control messages share the queue
-#: so control respects the same ordering and backpressure as data).
-_EVENT, _CLOSE, _EVICT = "event", "close", "evict"
-
-#: One queued item: [kind, object id or eviction target, point, enqueue time].
-#: A (mutable) list, not a tuple: the enqueue timestamp is stamped by the
-#: queue itself at true insertion time (see :class:`_StampedQueue`).
+#: One queued item: [op tag, object id or eviction target, point, enqueue
+#: time] — the shard step's operation shape.  Events and per-object control
+#: ops share the queue, so control respects the same ordering and
+#: backpressure as data.  A (mutable) list, not a tuple: the enqueue
+#: timestamp is stamped by the queue itself at true insertion time (see
+#: :class:`_StampedQueue`).
 _Item = List[object]
 
 
@@ -103,22 +111,6 @@ class _StampedQueue(asyncio.Queue):
         if type(item) is list:
             item[3] = time.perf_counter()
         super()._put(item)
-
-#: Exception types a shard batch may fail with that the service *handles*
-#: (counts, annotates with shard + object ids, routes through the failure
-#: policy).  Deliberately narrow — anything outside this tuple (MemoryError,
-#: KeyboardInterrupt, arbitrary C-extension crashes) propagates untouched.
-_BATCH_ERRORS = (
-    SemitriError,
-    sqlite3.Error,
-    ValueError,
-    TypeError,
-    KeyError,
-    IndexError,
-    ArithmeticError,
-    RuntimeError,
-    OSError,
-)
 
 
 @dataclass
@@ -158,46 +150,6 @@ class ServiceStats:
     dedup_skipped: int = 0
     """Replayed trajectories skipped at commit because the store already
     holds them (the idempotency half of WAL recovery)."""
-
-
-class _ShardWorker:
-    """One shard's synchronous half: a micro-batch executor plus bookkeeping.
-
-    ``process`` runs on the service's thread pool; the consumer coroutine
-    awaits each batch before submitting the next, so a worker is only ever
-    touched by one thread at a time.
-    """
-
-    def __init__(self, index: int, plan: Plan, metrics: ShardMetrics):
-        self.index = index
-        self.executor = MicroBatchExecutor(plan)
-        self.metrics = metrics
-        self.events_absorbed = 0
-
-    def process(self, batch: List[_Item]) -> List[PipelineResult]:
-        """Absorb one micro-batch of events and control messages, in order."""
-        executor = self.executor
-        results: List[PipelineResult] = []
-        for kind, object_id, point, _ in batch:
-            if kind == _EVENT:
-                assert point is not None
-                results.extend(executor.ingest(str(object_id), point))
-                self.events_absorbed += 1
-            elif kind == _CLOSE:
-                results.extend(executor.close_object(str(object_id)))
-            else:  # _EVICT: object_id carries the target open-session count
-                results.extend(executor.evict_sessions(int(object_id)))  # type: ignore[arg-type]
-        self.metrics.events.inc(sum(1 for item in batch if item[0] == _EVENT))
-        self.metrics.results.inc(len(results))
-        self.metrics.open_sessions.set(executor.open_session_count)
-        return results
-
-    def drain(self) -> List[PipelineResult]:
-        """Close every open session (flushing the pending micro-batch first)."""
-        results = self.executor.close_all()
-        self.metrics.results.inc(len(results))
-        self.metrics.open_sessions.set(0)
-        return results
 
 
 class AnnotationService:
@@ -269,10 +221,11 @@ class AnnotationService:
         self._faults = fault_injector if fault_injector is not None else FaultInjector.from_env()
         if store is not None and self._faults.enabled:
             store.bind_faults(self._faults)
-        # One failure log for the whole service: shard threads record into it
-        # (it is thread-safe), but it is *not* bound to the store — shard
-        # threads must never touch the SQLite connection, so quarantines
-        # buffer until the drain flushes them on the event-loop thread.
+        # One failure log for the whole service, fed only on the event loop:
+        # shards run on their own thread or process with a shard-local log,
+        # and their quarantines and retried results arrive with the acks.
+        # It is *not* bound to the store — quarantines buffer until the drain
+        # flushes them.
         self._failure_log = FailureLog(self._config.failure, registry=self.registry)
         self._journal: Optional[IngestJournal] = None
         self._batch_failures: List[ServiceError] = []
@@ -283,45 +236,19 @@ class AnnotationService:
         self._transport = service_config.resolved_transport
         self._per_shard_sessions = max(1, service_config.session_budget // self._shard_count)
         self._shard_metrics = [self.metrics.shard(index) for index in range(self._shard_count)]
-        shard_config = replace(
-            self._config,
-            streaming=replace(self._config.streaming, max_sessions=self._per_shard_sessions),
-        )
-        # Thread transport compiles the shard plans here, in-process.  The
-        # process transport compiles nothing in the parent — each worker
-        # process compiles its own plan against the attached snapshot.
-        self._workers = (
-            [
-                _ShardWorker(
-                    index,
-                    Plan.compile(
-                        sources=context.sources,
-                        config=shard_config,
-                        annotators=context.annotators,
-                        faults=self._faults,
-                        failure_log=self._failure_log,
-                    ),
-                    self._shard_metrics[index],
-                )
-                for index in range(self._shard_count)
-            ]
-            if self._transport == "thread"
-            else []
-        )
 
         self._queues: List["asyncio.Queue[object]"] = []
+        # Per shard: a handle, the consumer task feeding it, the reader task
+        # folding its acks in, a ready gate (cleared while a dead worker is
+        # recovered) and the in-flight batch permits.
+        self._handles: List[ShardHandle] = []
         self._consumers: List["asyncio.Task[None]"] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        # Process-transport state: one worker process + ack-reader task per
-        # shard, an IPC thread pool for the blocking pipe reads, and the
-        # shared-memory segment (when the start method would otherwise pickle
-        # the snapshot per worker).
-        self._handles: List[ShardProcessHandle] = []
-        self._reader_tasks: List["asyncio.Task[None]"] = []
-        self._ipc_pool: Optional[ThreadPoolExecutor] = None
-        self._shared: Optional[SharedGeoContext] = None
+        self._readers: List["asyncio.Task[None]"] = []
         self._ready: List[asyncio.Event] = []
         self._inflight: List[asyncio.Semaphore] = []
+        # The shared-memory segment, when the worker start method would
+        # otherwise pickle the snapshot per worker.
+        self._shared: Optional[SharedGeoContext] = None
         self._collected_ids: Set[str] = set()
         self._poisoned: Set[str] = set()
         self._closing = False
@@ -362,28 +289,24 @@ class AnnotationService:
     @property
     def worker_pids(self) -> List[Optional[int]]:
         """Per-shard worker PIDs (empty under the thread transport)."""
-        return [handle.pid for handle in self._handles]
+        return [handle.pid for handle in self._handles if isinstance(handle, ShardProcessHandle)]
 
     @property
     def delivered_events(self) -> int:
         """Events absorbed by shard executors (equals ``stats.events`` after drain).
 
-        Under the process transport, events belonging to a quarantined poison
-        object are *handled* by skipping them at the shard boundary; they
-        count as delivered so the no-drop ledger still closes.
+        Events belonging to a quarantined poison object are *handled* by
+        skipping them at the shard boundary; they count as delivered so the
+        no-drop ledger still closes.
         """
-        if self._transport == "process":
-            return sum(
-                handle.events_absorbed + handle.poison_skipped for handle in self._handles
-            )
-        return sum(worker.events_absorbed for worker in self._workers)
+        return sum(handle.events_absorbed + handle.poison_skipped for handle in self._handles)
 
     @property
     def dropped_events(self) -> int:
         """Accepted-but-never-absorbed events.
 
         Positive only while events are still queued or after a shard batch
-        raised; a clean :meth:`drain` leaves it at zero — the service's
+        failed; a clean :meth:`drain` leaves it at zero — the service's
         no-drop contract.
         """
         return self.stats.events - self.delivered_events
@@ -392,19 +315,15 @@ class AnnotationService:
     def open_session_count(self) -> int:
         """Open per-object sessions across every shard.
 
-        Process transport: mirrored from the most recent worker acks, so the
-        value trails in-flight frames by at most ``max_inflight`` batches.
+        Mirrored from the most recent shard acks, so the value trails
+        in-flight batches by at most ``max_inflight`` of them.
         """
-        if self._transport == "process":
-            return sum(handle.open_sessions for handle in self._handles)
-        return sum(worker.executor.open_session_count for worker in self._workers)
+        return sum(handle.open_sessions for handle in self._handles)
 
     @property
     def sessions_evicted(self) -> int:
         """Sessions closed by LRU budget pressure or explicit eviction."""
-        if self._transport == "process":
-            return sum(handle.sessions_evicted for handle in self._handles)
-        return sum(worker.executor.sessions_evicted for worker in self._workers)
+        return sum(handle.sessions_evicted for handle in self._handles)
 
     def queue_depths(self) -> List[int]:
         """Current per-shard queue depths (diagnostics)."""
@@ -440,7 +359,7 @@ class AnnotationService:
 
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> "AnnotationService":
-        """Create the shard queues, consumers and worker thread pool.
+        """Create the shard queues, handles, consumers and ack readers.
 
         With ``config.service.journal_dir`` set, the crash-safe ingest
         journal opens here — and if a previous service died with un-drained
@@ -460,35 +379,36 @@ class AnnotationService:
         self._queues = [
             _StampedQueue(maxsize=self._queue_depth) for _ in range(self._shard_count)
         ]
+        make_handle: Callable[[int], ShardHandle]
         if self._transport == "process":
-            payload = self._worker_payload()
-            fault_plan = self._faults.plan.render() if self._faults.enabled else ""
-            for index in range(self._shard_count):
-                handle = ShardProcessHandle(
-                    index, payload, self._per_shard_sessions, fault_plan
-                )
-                handle.spawn()
-                self._shard_metrics[index].worker_pid.set(float(handle.pid or 0))
-                self._handles.append(handle)
-                ready = asyncio.Event()
-                ready.set()
-                self._ready.append(ready)
-                self._inflight.append(asyncio.Semaphore(ShardProcessHandle.max_inflight))
-            # One thread per shard for the blocking pipe reads; replay during
-            # recovery reuses the same slot its shard's reader vacated.
-            self._ipc_pool = ThreadPoolExecutor(
-                max_workers=self._shard_count, thread_name_prefix="semitri-ipc"
+            # Each worker compiles its own plan against the attached snapshot.
+            make_handle = functools.partial(
+                ShardProcessHandle,
+                payload=self._worker_payload(),
+                per_shard_sessions=self._per_shard_sessions,
+                fault_plan=self._faults.plan.render() if self._faults.enabled else "",
             )
-            self._reader_tasks = [
-                asyncio.create_task(self._read_acks(index), name=f"semitri-ipc-{index}")
-                for index in range(self._shard_count)
-            ]
         else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._shard_count, thread_name_prefix="semitri-shard"
+            make_handle = functools.partial(
+                ShardThreadHandle,
+                context=self._context,
+                per_shard_sessions=self._per_shard_sessions,
+                faults=self._faults,
             )
+        for index in range(self._shard_count):
+            handle = make_handle(index)
+            self._shard_metrics[index].worker_pid.set(float(handle.pid or 0))
+            self._handles.append(handle)
+            ready = asyncio.Event()
+            ready.set()
+            self._ready.append(ready)
+            self._inflight.append(asyncio.Semaphore(handle.max_inflight))
         self._consumers = [
             asyncio.create_task(self._consume(index), name=f"semitri-shard-{index}")
+            for index in range(self._shard_count)
+        ]
+        self._readers = [
+            asyncio.create_task(self._read_acks(index), name=f"semitri-acks-{index}")
             for index in range(self._shard_count)
         ]
         self._state = "running"
@@ -524,12 +444,12 @@ class AnnotationService:
             self._journal.append_replayed(shard, record)
             if record.kind == "event":
                 await self._enqueue(
-                    self._queues[shard], [_EVENT, record.object_id, record.point(), 0.0]
+                    self._queues[shard], [EVENT, record.object_id, record.point(), 0.0]
                 )
                 self.stats.events += 1
             else:
                 await self._enqueue(
-                    self._queues[shard], [_CLOSE, record.object_id, None, 0.0]
+                    self._queues[shard], [CLOSE, record.object_id, None, 0.0]
                 )
                 self.stats.closed_objects += 1
         # Only after every record is safely re-journaled may the recovered
@@ -562,32 +482,17 @@ class AnnotationService:
         self._state = "draining"
         for queue in self._queues:
             await queue.put(_STOP)
-        await asyncio.gather(*self._consumers)
-        if self._transport == "process":
-            # Ask every worker to close out its sessions.  The drain frame is
-            # FIFO behind any in-flight batches, so each worker seals in
-            # exactly the order it absorbed; the readers return once the
-            # drained ack lands (re-requested by recovery if a worker dies
-            # mid-drain).
-            for index, handle in enumerate(self._handles):
-                await self._ready[index].wait()
-                if not handle.drain_requested:
-                    self._request_drain(index)
-            await asyncio.gather(*self._reader_tasks)
-            self._reader_tasks = []
-            if self._batch_failures and not self._config.failure.isolates:
-                # Thread-transport fail_fast raises from the consumer; here
-                # batch errors arrive as acks, so the first one surfaces once
-                # everything in flight has settled.  The journal is kept.
-                raise self._batch_failures[0]
-        else:
-            loop = asyncio.get_running_loop()
-            assert self._pool is not None
-            closes = [
-                loop.run_in_executor(self._pool, worker.drain) for worker in self._workers
-            ]
-            for sealed in await asyncio.gather(*closes):
-                self._collect(sealed)
+        # Each consumer flushes its queue and then asks its shard to close
+        # out every session; the drain request is FIFO behind the in-flight
+        # batches, so each shard seals in exactly the order it absorbed.  The
+        # readers return once that last ack lands (re-requested by recovery
+        # if a worker dies mid-drain).  Anything a task raises surfaces here.
+        await asyncio.gather(*self._consumers, *self._readers)
+        if self._batch_failures and not self._config.failure.isolates:
+            # fail_fast: batch errors arrive as acks, so the first one
+            # surfaces once everything in flight has settled.  The journal
+            # is kept.
+            raise self._batch_failures[0]
         if self._journal is not None:
             self._journal.sync()
         if self._persist:
@@ -602,7 +507,7 @@ class AnnotationService:
         return self.results
 
     async def shutdown(self) -> List[PipelineResult]:
-        """Drain (if still running) and release the worker thread pool.
+        """Drain (if still running) and release the shard threads/processes.
 
         A service stuck in ``"draining"`` means a previous :meth:`drain`
         raised part-way (fail-fast batch or commit failure); shutdown then
@@ -613,24 +518,16 @@ class AnnotationService:
         self._closing = self._state != "running"
         results = await self.drain() if self._state == "running" else self.results
         self._closing = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        # Error-path readers may still be waiting on acks that will never
-        # come; cancel them before tearing the pipes down.
-        for task in self._reader_tasks:
+        # Error-path tasks may still be waiting on acks or permits that will
+        # never come; cancel them before tearing the handles down.
+        tasks = [*self._consumers, *self._readers]
+        for task in tasks:
             task.cancel()
-        if self._reader_tasks:
-            await asyncio.gather(*self._reader_tasks, return_exceptions=True)
-            self._reader_tasks = []
+        await asyncio.gather(*tasks, return_exceptions=True)
         # Handles are closed but kept: their mirrored counters back the
-        # post-shutdown ledger properties (delivered_events & co.), exactly
-        # like the thread transport's _ShardWorker list.
+        # post-shutdown ledger properties (delivered_events & co.).
         for handle in self._handles:
             handle.close()
-        if self._ipc_pool is not None:
-            self._ipc_pool.shutdown(wait=True)
-            self._ipc_pool = None
         if self._shared is not None:
             # Workers are gone; unlinking the segment is safe now.
             self._shared.close()
@@ -652,7 +549,7 @@ class AnnotationService:
         if self._journal is not None:
             self._journal.append_event(shard, object_id, point)
             self.stats.wal_appended += 1
-        await self._enqueue(self._queues[shard], [_EVENT, object_id, point, 0.0])
+        await self._enqueue(self._queues[shard], [EVENT, object_id, point, 0.0])
         self.stats.events += 1
 
     async def ingest_many(
@@ -675,7 +572,7 @@ class AnnotationService:
         if self._journal is not None:
             self._journal.append_close(shard, object_id)
             self.stats.wal_appended += 1
-        await self._enqueue(self._queues[shard], [_CLOSE, object_id, None, 0.0])
+        await self._enqueue(self._queues[shard], [CLOSE, object_id, None, 0.0])
         self.stats.closed_objects += 1
 
     async def evict_sessions(self, target_per_shard: int) -> None:
@@ -689,12 +586,8 @@ class AnnotationService:
             raise ServiceError(f"cannot evict on a service in state {self._state!r}")
         if target_per_shard < 0:
             raise ConfigurationError("target_per_shard must be non-negative")
-        before = self.sessions_evicted
         for queue in self._queues:
-            await self._enqueue(queue, [_EVICT, target_per_shard, None, 0.0])
-        # Eviction is fire-and-forget by design; the counter below reflects
-        # evictions already performed, not the ones just requested.
-        self.metrics.sessions_evicted.inc(max(0, self.sessions_evicted - before))
+            await self._enqueue(queue, [EVICT, target_per_shard, None, 0.0])
 
     # --------------------------------------------------------------- internals
     def _intake_shard(self, object_id: str) -> int:
@@ -714,215 +607,155 @@ class AnnotationService:
         await queue.put(item)
 
     async def _consume(self, index: int) -> None:
+        """Per-shard consumer: form micro-batches and ship them, then drain."""
         queue = self._queues[index]
         metrics = self._shard_metrics[index]
-        process_transport = self._transport == "process"
-        worker = self._workers[index] if not process_transport else None
-        loop = asyncio.get_running_loop()
+        inflight = self._inflight[index]
+        ready = self._ready[index]
         stopping = False
         while not stopping:
+            # A batch is formed only once it may be sent: with one batch in
+            # flight, the next one gathers everything queued meanwhile.
+            await inflight.acquire()
             head = await queue.get()
+            batch: List[_Item] = []
             if head is _STOP:
-                break
-            # Fairness: drain adaptively — half the backlog per wake-up, at
-            # least 8 items, capped at max_batch — instead of greedily taking
-            # max_batch every time.  A lightly loaded shard hands the loop
-            # back quickly (other shards' consumers get scheduled, keeping
-            # their p99 flat); a saturated one still reaches full batches, so
-            # single-shard throughput is unaffected.
-            cap = min(self._max_batch, max(8, (queue.qsize() + 2) // 2))
-            batch: List[_Item] = [head]  # type: ignore[list-item]
-            while len(batch) < cap:
-                try:
-                    item = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is _STOP:
-                    stopping = True
-                    break
-                batch.append(item)  # type: ignore[arg-type]
-            metrics.queue_depth.set(queue.qsize())
-            self.stats.batches += 1
-            if process_transport:
-                await self._ship_frame(index, batch)
+                stopping = True
             else:
-                assert worker is not None and self._pool is not None
-                try:
-                    sealed = await loop.run_in_executor(self._pool, worker.process, batch)
-                except _BATCH_ERRORS as error:
-                    # Per-trajectory failures are already isolated inside the
-                    # executor (retry/quarantine per the failure policy); an
-                    # error escaping a whole batch is infrastructure-level.
-                    # Count it, attach shard + object ids, and route it
-                    # through the policy: fail_fast surfaces it at drain,
-                    # isolating policies keep the shard alive for the other
-                    # objects (a batch replay would be unsafe — the session
-                    # pass already consumed some events; the WAL still holds
-                    # them).
-                    self.stats.errors += 1
-                    metrics.errors.inc()
-                    object_ids = sorted(
-                        {str(item[1]) for item in batch if item[0] in (_EVENT, _CLOSE)}
-                    )
-                    self._failure_log.record_failure("shard_batch", type(error).__name__)
-                    failure = ServiceError(
-                        f"shard {index} failed a batch of {len(batch)} items "
-                        f"(objects {object_ids}): {error!r}"
-                    )
-                    self._batch_failures.append(failure)
-                    if not self._config.failure.isolates:
-                        raise failure from error
-                    continue
-                finished = time.perf_counter()
-                for item in batch:
-                    self.metrics.ingest_latency.observe(finished - item[3])  # type: ignore[operator]
-                self._collect(sealed)
+                # Fairness: drain adaptively — half the backlog per wake-up,
+                # at least 8 items, capped at max_batch — instead of greedily
+                # taking max_batch every time.  A lightly loaded shard hands
+                # the loop back quickly (other shards' consumers get
+                # scheduled, keeping their p99 flat); a saturated one still
+                # reaches full batches, so single-shard throughput holds.
+                cap = min(self._max_batch, max(8, (queue.qsize() + 2) // 2))
+                batch.append(head)  # type: ignore[arg-type]
+                while len(batch) < cap:
+                    try:
+                        item = queue.get_nowait()
+                    except asyncio.QueueEmpty:
+                        break
+                    if item is _STOP:
+                        stopping = True
+                        break
+                    batch.append(item)  # type: ignore[arg-type]
                 metrics.queue_depth.set(queue.qsize())
+                self.stats.batches += 1
+            # Never send while a dead worker is being recovered (the replay
+            # owns the handle until the gate reopens).
+            await ready.wait()
+            self._ship(index, batch)
             # Yield between batches so co-resident consumers interleave even
             # when this queue never goes empty.
             await asyncio.sleep(0)
+        await ready.wait()
+        self._request_drain(index)
 
-    # ------------------------------------------------- process transport: IPC
-    async def _ship_frame(self, index: int, batch: List[_Item]) -> None:
-        """Encode one micro-batch and hand it to the shard's worker process.
+    def _ship(self, index: int, batch: List[_Item]) -> None:
+        """Hand one micro-batch to the shard (holding one in-flight permit).
 
-        ``sent_ops`` counts the batch's WAL-covered operations *before* the
-        frame leaves (poison-skips included), so a worker death at any point
-        is recovered by replaying exactly that journal prefix; a failed send
-        is therefore ignored here — the reader task notices the EOF.
+        ``sent_ops`` counts the batch's WAL-covered operations *before* it
+        leaves (poison-skips included), so a worker death at any point is
+        recovered by replaying exactly that journal prefix.
         """
         handle = self._handles[index]
-        metrics = self._shard_metrics[index]
-        await self._inflight[index].acquire()
-        await self._ready[index].wait()
         sendable: List[_Item] = []
-        times: List[float] = []
         wal_ops = 0
         now = time.perf_counter()
         for item in batch:
             kind = item[0]
-            if kind in (_EVENT, _CLOSE):
+            if kind != EVICT:
                 wal_ops += 1
                 if self._poisoned and str(item[1]) in self._poisoned:
                     # Proven-poison objects are handled at the boundary: the
                     # worker never sees them again, but they count as
                     # delivered (and observed) so the ledger closes.
-                    if kind == _EVENT:
+                    if kind == EVENT:
                         handle.poison_skipped += 1
                     self.metrics.ingest_latency.observe(now - item[3])  # type: ignore[operator]
                     continue
             sendable.append(item)
-            times.append(item[3])  # type: ignore[arg-type]
         handle.sent_ops += wal_ops
         if not sendable:
             self._inflight[index].release()
             return
-        frame = handle.encoder.encode_batch(sendable)
-        handle.pending.append((times, sum(1 for item in sendable if item[0] == _EVENT)))
-        metrics.ipc_frames.inc()
-        metrics.ipc_bytes.inc(len(frame))
-        try:
-            handle.send_frame(frame)
-        except OSError:
-            pass  # the worker died; recovery replays this frame from the WAL
+        handle.pending.append(sendable)
+        shipped = handle.send(sendable)
+        if shipped:
+            metrics = self._shard_metrics[index]
+            metrics.ipc_frames.inc()
+            metrics.ipc_bytes.inc(shipped)
 
     def _request_drain(self, index: int) -> None:
-        """Send the drain control frame (re-sent by recovery if the ack dies)."""
+        """Ask the shard to close out every session (re-sent by recovery)."""
         handle = self._handles[index]
         handle.drain_requested = True
-        try:
-            handle.send_frame(DRAIN_FRAME)
-        except OSError:
-            pass  # the reader's recovery path re-requests after respawn
+        handle.send([[DRAIN, None, None, 0.0]])
 
     async def _read_acks(self, index: int) -> None:
-        """Per-shard reader: stream worker acks back onto the event loop.
+        """Per-shard reader: fold the shard's acks in on the event loop.
 
-        Runs until the worker's drained ack (normal end of life) or until
-        shutdown cancels it.  A pipe EOF while the service is live means the
-        worker died — recover it and keep reading.
+        Runs until the ack of the drain request (normal end of life) or until
+        shutdown cancels it.  ``EOFError`` while the service is live means
+        the worker died — recover it and keep reading.
         """
-        loop = asyncio.get_running_loop()
         handle = self._handles[index]
         while True:
             try:
-                message = await loop.run_in_executor(self._ipc_pool, handle.recv)
+                ack = await handle.recv()
             except (EOFError, OSError):
                 if self._closing or self._state not in ("running", "draining"):
                     return
                 await self._recover_shard(index)
                 continue
-            if message[0] == "drained":
-                self._apply_drained(index, message)
+            # Once the drain was requested and every batch is acked, the
+            # next ack answers the drain request: the shard's last.
+            last = handle.drain_requested and not handle.pending
+            self._apply_ack(index, ack, pop_pending=True)
+            if last:
                 return
-            self._apply_ack(index, message, pop_pending=True)
 
-    def _apply_ack(
-        self, index: int, message: Tuple[object, ...], *, pop_pending: bool
-    ) -> None:
-        """Fold one ok/error ack into service state (also used by replay)."""
+    def _apply_ack(self, index: int, ack: Ack, *, pop_pending: bool) -> None:
+        """Fold one shard ack into service state (also used by replay)."""
+        _, results, absorbed, open_sessions, evicted, quarantines, error = ack
         handle = self._handles[index]
         metrics = self._shard_metrics[index]
-        times: List[float] = []
         if pop_pending and handle.pending:
-            times, _ = handle.pending.pop(0)
+            items = handle.pending.pop(0)
             self._inflight[index].release()
-        if message[0] == "ok":
-            _, results, absorbed, open_sessions, evicted, quarantines = message
-            handle.events_absorbed += absorbed  # type: ignore[operator]
-            handle.open_sessions = open_sessions  # type: ignore[assignment]
-            handle.sessions_evicted = evicted  # type: ignore[assignment]
-            metrics.events.inc(absorbed)  # type: ignore[arg-type]
-            metrics.results.inc(len(results))  # type: ignore[arg-type]
-            metrics.open_sessions.set(float(open_sessions))  # type: ignore[arg-type]
             finished = time.perf_counter()
-            for enqueued in times:
-                self.metrics.ingest_latency.observe(finished - enqueued)
-            self._absorb_quarantines(quarantines)  # type: ignore[arg-type]
-            self._collect_deduped(results)  # type: ignore[arg-type]
-            return
-        # ("error", kind, repr, object_ids, op_count, absorbed, open, evicted,
-        # quarantines): infrastructure-level batch failure, same policy
-        # routing as the thread transport's _BATCH_ERRORS branch — but the
-        # worker survived and already told us how far it got.
-        (_, kind_name, error_repr, object_ids, op_count, absorbed, open_sessions,
-         evicted, quarantines) = message
-        handle.events_absorbed += absorbed  # type: ignore[operator]
-        handle.open_sessions = open_sessions  # type: ignore[assignment]
-        handle.sessions_evicted = evicted  # type: ignore[assignment]
-        metrics.open_sessions.set(float(open_sessions))  # type: ignore[arg-type]
-        self.stats.errors += 1
-        metrics.errors.inc()
-        self._failure_log.record_failure("shard_batch", str(kind_name))
-        self._batch_failures.append(
-            ServiceError(
-                f"shard {index} failed a batch of {op_count} items "
-                f"(objects {object_ids}): {error_repr}"
-            )
-        )
-        self._absorb_quarantines(quarantines)  # type: ignore[arg-type]
-
-    def _apply_drained(self, index: int, message: Tuple[object, ...]) -> None:
-        """Fold the close-out ack (sealed rows of every open session) in."""
-        _, sealed, quarantines, evicted = message
-        handle = self._handles[index]
-        metrics = self._shard_metrics[index]
-        handle.open_sessions = 0
-        handle.sessions_evicted = evicted  # type: ignore[assignment]
-        metrics.results.inc(len(sealed))  # type: ignore[arg-type]
-        metrics.open_sessions.set(0.0)
-        self._absorb_quarantines(quarantines)  # type: ignore[arg-type]
-        self._collect_deduped(sealed)  # type: ignore[arg-type]
-
-    def _absorb_quarantines(self, quarantines: List[TrajectoryFailure]) -> None:
-        """Count worker-shipped dead letters on the parent's log.
-
-        The worker's own log is never read (module counting rule); the parent
-        quarantine is the single counting point, and it buffers the records
-        for the drain-time store flush.
-        """
+            for item in items:
+                self.metrics.ingest_latency.observe(finished - item[3])  # type: ignore[operator]
+        handle.events_absorbed += absorbed
+        handle.open_sessions = open_sessions
+        # ``evicted`` is the executor's lifetime count (a respawned executor
+        # starts again from 0), so the delta since the last ack is new work.
+        self.metrics.sessions_evicted.inc(max(0, evicted - handle.sessions_evicted))
+        handle.sessions_evicted = evicted
+        metrics.events.inc(absorbed)
+        metrics.results.inc(len(results))
+        metrics.open_sessions.set(float(open_sessions))
+        # The shard's own log is never read: the service's log is the single
+        # counting point for shipped dead letters and retried results.
         for failure in quarantines:
             self._failure_log.quarantine(failure)
+        self._collect_deduped(results)
+        if error is not None:
+            # Infrastructure-level batch failure: counted, annotated with
+            # shard + object ids and routed through the policy — fail_fast
+            # surfaces it at drain, isolating policies keep the shard alive
+            # (a batch replay would be unsafe: the session pass already
+            # consumed some events; the WAL still holds them).
+            kind_name, error_repr, object_ids, op_count = error
+            self.stats.errors += 1
+            metrics.errors.inc()
+            self._failure_log.record_failure("shard_batch", kind_name)
+            self._batch_failures.append(
+                ServiceError(
+                    f"shard {index} failed a batch of {op_count} items "
+                    f"(objects {object_ids}): {error_repr}"
+                )
+            )
 
     def _collect_deduped(self, sealed: List[PipelineResult]) -> None:
         """Collect worker results, keep-first across worker-loss replays.
@@ -944,7 +777,7 @@ class AnnotationService:
             fresh.append(result)
         self._collect(fresh)
 
-    # -------------------------------------------- process transport: recovery
+    # ------------------------------------------------ worker-loss recovery
     async def _recover_shard(self, index: int) -> None:
         """Bring a dead shard worker back: respawn + WAL prefix replay.
 
@@ -1051,24 +884,23 @@ class AnnotationService:
     async def _replay_records(self, index: int, records: List[JournalRecord]) -> bool:
         """Feed records to the worker in lockstep batches; True if it died."""
         handle = self._handles[index]
-        loop = asyncio.get_running_loop()
         for start in range(0, len(records), self._max_batch):
             chunk = records[start : start + self._max_batch]
-            items: List[_Item] = [
-                [_EVENT, record.object_id, record.point(), 0.0]
-                if record.kind == "event"
-                else [_CLOSE, record.object_id, None, 0.0]
-                for record in chunk
-            ]
-            frame = handle.encoder.encode_batch(items)
+            handle.send(
+                [
+                    [EVENT, record.object_id, record.point(), 0.0]
+                    if record.kind == "event"
+                    else [CLOSE, record.object_id, None, 0.0]
+                    for record in chunk
+                ]
+            )
             try:
-                handle.send_frame(frame)
-                message = await loop.run_in_executor(self._ipc_pool, handle.recv)
+                ack = await handle.recv()
             except (EOFError, OSError):
                 return True
-            # Replayed frames carry no live enqueue times (and no pending
+            # Replayed batches carry no live enqueue times (and no pending
             # entry): counters and results fold in, latency is not observed.
-            self._apply_ack(index, message, pop_pending=False)
+            self._apply_ack(index, ack, pop_pending=False)
         return False
 
     def _quarantine_poison(

@@ -20,6 +20,7 @@ import pytest
 from repro.core import PipelineConfig
 from repro.core.config import FailurePolicy
 from repro.core.errors import ConfigurationError, InjectedFault, ServiceError
+from repro.core.points import SpatioTemporalPoint
 from repro.engine.executors import (
     MicroBatchExecutor,
     ProcessPoolExecutor,
@@ -518,33 +519,37 @@ class TestServiceFaults:
         assert "semitri_failures_total" in rendered or "failures_total" in rendered
         store.close()
 
+    @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_batch_infrastructure_error_routed_through_policy(
-        self, annotation_sources, car_dataset
+        self, annotation_sources, car_dataset, transport
     ):
         streams = _streams(car_dataset)
+        broken = sorted(streams)[0]
 
         def run_with(mode: str) -> AnnotationService:
             config = _service_config(
-                **{"failure.mode": mode, "service.shards": 1, "service.max_batch": 8}
+                **{
+                    "failure.mode": mode,
+                    "service.shards": 1,
+                    "service.max_batch": 8,
+                    "service.transport": transport,
+                }
             )
             service = AnnotationService(annotation_sources, config=config)
 
             async def drive() -> None:
                 async with service:
-                    worker = service._workers[0]
-                    original = worker.process
-                    fired = {"count": 0}
-
-                    def flaky_process(batch):
-                        if fired["count"] == 0:
-                            fired["count"] += 1
-                            raise RuntimeError("shard infrastructure blew up")
-                        return original(batch)
-
-                    worker.process = flaky_process
                     for object_id, points in sorted(streams.items()):
                         for point in points[:30]:
                             await service.ingest(object_id, point)
+                        if object_id == broken:
+                            # A fix older than the stream's last one: the
+                            # streaming cleaner raises DataQualityError out of
+                            # the whole batch, not out of one trajectory.
+                            last = points[29]
+                            await service.ingest(
+                                object_id, SpatioTemporalPoint(last.x, last.y, last.t - 60.0)
+                            )
                         await service.close_object(object_id)
                     await service.drain()
 
@@ -554,11 +559,14 @@ class TestServiceFaults:
         # Isolating mode: the shard survives, the failure is annotated with
         # shard and object ids, and counters record it.
         service = run_with("skip")
+        assert service.transport == transport
         assert service.stats.errors == 1
         assert len(service.batch_failures) == 1
         message = str(service.batch_failures[0])
-        assert "shard 0" in message and "RuntimeError" in message
+        assert "shard 0" in message and "DataQualityError" in message
+        assert broken in message
         assert service.failure_log.failures >= 1
+        assert service.registry.value("service_shard_errors_total", shard="0") == 1
         assert service.results  # the other batches still annotated
 
         # fail_fast: the same error surfaces out of drain as a ServiceError.

@@ -23,6 +23,7 @@ import pytest
 from repro.core import PipelineConfig, SeMiTriPipeline
 from repro.core.errors import ConfigurationError, ServiceError
 from repro.core.points import SpatioTemporalPoint
+from repro.faults.inject import FaultInjector, FaultPlan
 from repro.parallel.canonical import canonical_bytes
 from repro.parallel.context import GeoContext
 from repro.service import AnnotationService, ConsistentHashRing, HttpIngestServer
@@ -90,24 +91,23 @@ class TestConsistentHashRing:
 
 
 # ----------------------------------------------------------------- backpressure
-def test_backpressure_bounds_queue_and_awaits_producer(annotation_sources, car_dataset):
-    """A full shard queue suspends the producer; depth never exceeds the bound."""
-    config = _service_config(shards=1, queue_depth=4, max_batch=4)
+@pytest.mark.parametrize("transport", ["thread", "process"])
+def test_backpressure_bounds_queue_and_awaits_producer(
+    annotation_sources, car_dataset, transport
+):
+    """A full shard queue suspends the producer; depth never exceeds the bound.
+
+    The shard stalls at every stage execution, forever, so it is permanently
+    slower than the producer — under either handle.
+    """
+    config = _service_config(shards=1, queue_depth=4, max_batch=4, transport=transport)
     points = _object_streams(car_dataset.trajectories)
     object_id, stream = next(iter(sorted(points.items())))
     stream = stream[:200]
+    injector = FaultInjector(FaultPlan.parse("stall:secs=0.002,times=-1"))
 
     async def run() -> Tuple[AnnotationService, int]:
-        service = AnnotationService(annotation_sources, config=config)
-        # Slow the shard down so the producer demonstrably outruns it.
-        worker = service._workers[0]
-        original = worker.process
-
-        def slow_process(batch):
-            time.sleep(0.002)
-            return original(batch)
-
-        worker.process = slow_process
+        service = AnnotationService(annotation_sources, config=config, fault_injector=injector)
         max_depth = 0
         async with service:
             for point in stream:
@@ -117,11 +117,13 @@ def test_backpressure_bounds_queue_and_awaits_producer(annotation_sources, car_d
         return service, max_depth
 
     service, max_depth = asyncio.run(run())
+    assert service.transport == transport
     assert max_depth <= config.service.queue_depth
     assert service.stats.backpressure_waits > 0
     assert service.metrics.backpressure_waits.value == service.stats.backpressure_waits
     assert service.stats.events == len(stream)
     assert service.dropped_events == 0
+    assert service.stats.errors == 0
 
 
 # ----------------------------------------------------------------- drain parity
@@ -246,6 +248,30 @@ def test_session_budget_evicts_lru_sessions(annotation_sources, car_dataset):
     assert service.sessions_evicted >= len(streams) - 3
     assert service.dropped_events == 0
     assert {r.trajectory.object_id for r in service.results} == set(streams)
+
+
+@pytest.mark.parametrize("transport", ["thread", "process"])
+def test_sessions_evicted_metric_counts_budget_evictions(
+    annotation_sources, car_dataset, transport
+):
+    """LRU evictions under the session budget reach the eviction counter,
+    under either handle — not only evictions requested explicitly."""
+    config = _service_config(shards=1, session_budget=3, transport=transport)
+    streams = _object_streams(car_dataset.trajectories)
+
+    async def run() -> AnnotationService:
+        service = AnnotationService(annotation_sources, config=config)
+        async with service:
+            for object_id, points in sorted(streams.items()):
+                for point in points[:40]:
+                    await service.ingest(object_id, point)
+            await service.drain()
+        return service
+
+    service = asyncio.run(run())
+    assert service.sessions_evicted >= len(streams) - 3
+    evicted_total = service.registry.value("service_sessions_evicted_total")
+    assert evicted_total == service.sessions_evicted
 
 
 def test_explicit_eviction_closes_sessions(annotation_sources, car_dataset):

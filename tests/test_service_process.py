@@ -6,9 +6,9 @@ canonical bytes, same store rows, same no-drop ledger — while actually
 running each shard's executor in its own worker process attached to the
 shared :class:`GeoContext`.  On top of parity, the worker-loss contract:
 SIGKILL a shard worker mid-stream and the WAL prefix replay rebuilds a
-row-identical store; a stalling worker still bounds producer memory through
-the same backpressure path; an object that reproducibly kills fresh workers
-is quarantined as proven poison — and nothing else is.
+row-identical store; an object that reproducibly kills fresh workers is
+quarantined as proven poison — and nothing else is.  (Backpressure under a
+stalling shard is pinned for both handles in ``test_service_ingest.py``.)
 
 No ``pytest-asyncio`` in the container: each test drives its own event loop
 with ``asyncio.run``.
@@ -203,37 +203,6 @@ def test_sigkill_shard_worker_mid_stream_replays_wal(
     _assert_stores_identical(store, reference_store)
     store.close()
     reference_store.close()
-
-
-# ------------------------------------------------------------- stalled worker
-def test_backpressure_bounds_producer_when_worker_stalls(
-    annotation_sources, car_dataset
-):
-    """A stalling shard worker never unbounds the queue: producers await."""
-    streams = _object_streams(car_dataset.trajectories)
-    object_id, stream = next(iter(sorted(streams.items())))
-    stream = stream[:200]
-    config = _service_config(shards=1, queue_depth=4, max_batch=4, transport="process")
-    context = GeoContext.build(annotation_sources, config)
-    # Stall at every stage execution, forever: the worker is permanently
-    # slower than the producer.
-    injector = FaultInjector(FaultPlan.parse("stall:secs=0.002,times=-1"))
-    service = AnnotationService(context, fault_injector=injector)
-
-    async def run() -> int:
-        max_depth = 0
-        async with service:
-            for point in stream:
-                await service.ingest(object_id, point)
-                max_depth = max(max_depth, service.queue_depths()[0])
-            await service.drain()
-        return max_depth
-
-    max_depth = asyncio.run(run())
-    assert max_depth <= config.service.queue_depth
-    assert service.stats.backpressure_waits > 0
-    assert service.dropped_events == 0
-    assert service.stats.errors == 0
 
 
 # ------------------------------------------------------------- proven poison

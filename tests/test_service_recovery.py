@@ -18,8 +18,11 @@ import asyncio
 import os
 import shutil
 import signal
+import time
 from pathlib import Path
 from typing import Dict, List
+
+import pytest
 
 from repro.core import PipelineConfig
 from repro.core.points import SpatioTemporalPoint
@@ -234,3 +237,55 @@ def test_replaying_an_already_committed_wal_dedups_against_the_store(
     assert reopened.trajectory_ids() == committed_ids
     assert reopened.stop_move_summary() == committed_summary
     reopened.close()
+
+
+def _process_gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie nobody reaps counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            # "pid (comm) state ..." — comm may contain spaces, so split
+            # after its closing parenthesis.
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to inspect orphans")
+def test_shard_workers_exit_when_the_service_process_is_killed(annotation_sources):
+    """SIGKILL a service process with two process shards: its workers notice
+    the parent is gone and exit instead of living on as orphans."""
+    config = PipelineConfig.for_vehicles().with_overrides(
+        {"service.shards": 2, "service.transport": "process"}
+    )
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # --- child: start the service, report its worker pids, then hang.
+        try:
+            os.close(read_end)
+
+            async def serve_forever() -> None:
+                service = AnnotationService(annotation_sources, config=config)
+                await service.start()
+                os.write(write_end, " ".join(map(str, service.worker_pids)).encode() + b"\n")
+                await asyncio.sleep(3600)
+
+            asyncio.run(serve_forever())
+        finally:
+            os._exit(4)
+
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        worker_pids = [int(token) for token in reader.readline().split()]
+    assert len(worker_pids) == 2
+    assert not any(_process_gone(worker) for worker in worker_pids)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and not all(map(_process_gone, worker_pids)):
+        time.sleep(0.05)
+    survivors = [worker for worker in worker_pids if not _process_gone(worker)]
+    for worker in survivors:  # never leak them past the test, even on failure
+        os.kill(worker, signal.SIGKILL)
+    assert survivors == [], "shard workers outlived their killed service process"
