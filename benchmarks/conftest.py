@@ -15,8 +15,9 @@ import os
 import platform
 import random
 import sys
+import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -65,6 +66,17 @@ def machine_metadata() -> Dict[str, object]:
         "system": platform.system(),
         "numpy": np.__version__,
     }
+
+
+def best_of(fn: Callable[[], object], repeats: int = 5) -> Tuple[float, object]:
+    """Minimum wall time over ``repeats`` runs, plus the last return value."""
+    best = float("inf")
+    value: object = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, value
 
 
 def save_result(

@@ -19,12 +19,9 @@ the range and within-distance batches.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Tuple
-
 import numpy as np
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import best_of, save_result
 from repro.analytics.reporting import render_table
 from repro.geometry.primitives import BoundingBox, Point
 from repro.index.flat import FlatSpatialIndex
@@ -37,17 +34,6 @@ NEAREST_COUNT = 3
 #: The acceptance floor for the gated query families (range + within).
 REQUIRED_SPEEDUP = 3.0
 _REPEATS = 5
-
-
-def _best_of(fn: Callable[[], object], repeats: int = _REPEATS) -> Tuple[float, object]:
-    """Minimum wall time over ``repeats`` runs, plus the last return value."""
-    best = float("inf")
-    value: object = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, value
 
 
 def _csr_lists(offsets, rows, payload_of, distances=None):
@@ -147,8 +133,8 @@ def test_index_backend_speedups(benchmark, annotation_sources):
 
     def run_all():
         for name, (scalar_fn, flat_fn) in cases.items():
-            scalar_seconds, _ = _best_of(scalar_fn)
-            flat_seconds, _ = _best_of(flat_fn)
+            scalar_seconds, _ = best_of(scalar_fn)
+            flat_seconds, _ = best_of(flat_fn)
             measured[name] = (scalar_seconds, flat_seconds)
         return measured
 

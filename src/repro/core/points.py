@@ -7,6 +7,7 @@ sequence of such points produced by the trajectory-identification step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -32,8 +33,14 @@ class SpatioTemporalPoint:
         return other.t - self.t
 
     def distance_to(self, other: "SpatioTemporalPoint") -> float:
-        """Planar distance to ``other`` in coordinate units."""
-        return self.position.distance_to(other.position)
+        """Planar distance to ``other`` in coordinate units.
+
+        The arithmetic of :meth:`Point.distance_to`, without building the two
+        :class:`Point` objects, so both agree bit-for-bit.
+        """
+        dx = self.x - other.x
+        dy = self.y - other.y
+        return math.sqrt(dx * dx + dy * dy)
 
     def speed_to(self, other: "SpatioTemporalPoint") -> float:
         """Average speed between the two fixes (units per second).

@@ -52,7 +52,7 @@ from repro.core.errors import ConfigurationError, SemitriError
 from repro.core.pipeline import PipelineResult
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine.plan import Plan
-from repro.engine.stages import MapMatchStage, WorkItem
+from repro.engine.stages import WorkItem
 from repro.faults.failures import (
     FailureEvent,
     TrajectoryFailure,
@@ -877,12 +877,6 @@ class MicroBatchExecutor(Executor):
         # policy: stage routing is suspended for them (events keep counting),
         # and close-time handling decides between batch-replay and quarantine.
         self._poisoned: Dict[str, List[FailureEvent]] = {}
-        match_stage = plan.stage("map_match")
-        self._windowed = (
-            match_stage.make_windowed_matcher()
-            if isinstance(match_stage, MapMatchStage)
-            else None
-        )
         self.stats = EngineStats()
 
     # ------------------------------------------------------------- properties
@@ -1214,6 +1208,5 @@ class MicroBatchExecutor(Executor):
         item = self._items.get(trajectory.trajectory_id)
         if item is None:
             item = WorkItem.start(trajectory, self._plan.telemetry)
-            item.windowed_matcher = self._windowed
             self._items[trajectory.trajectory_id] = item
         return item

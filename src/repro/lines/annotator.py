@@ -51,19 +51,7 @@ class LineAnnotator:
         """Annotate one move episode (Algorithm 2)."""
         if not episode.is_move:
             raise DataQualityError("the line annotation layer only processes move episodes")
-        return self.annotate_matched(episode, self._matcher.match(episode.points))
-
-    def annotate_matched(
-        self, episode: Episode, matched: Sequence[MatchedPoint]
-    ) -> StructuredSemanticTrajectory:
-        """Assemble the line annotation from precomputed per-point match results.
-
-        Used by the streaming engine, whose windowed matcher already produced
-        the :class:`MatchedPoint` sequence for the sealed move episode.
-        """
-        if not episode.is_move:
-            raise DataQualityError("the line annotation layer only processes move episodes")
-        mode_segments = self._classifier.segment_modes(matched)
+        mode_segments = self._classifier.segment_modes(self._matcher.match(episode.points))
         return self._to_structured(episode, mode_segments)
 
     def annotate_episodes(self, episodes: Sequence[Episode]) -> List[StructuredSemanticTrajectory]:

@@ -13,10 +13,20 @@ For every GPS point of a move episode the matcher:
    the ``globalScore``;
 5. picks the candidate with the highest global score and, when requested,
    snaps the GPS position onto it.
+
+Under the ``numpy`` backend step 4 runs for a whole episode at once through
+:func:`episode_global_scores`: a few array passes over window offsets instead
+of one :meth:`GlobalMapMatcher.global_scores` call per point.  Batch matching
+and the streaming engine (which matches each sealed move episode) both go
+through it; the per-point :meth:`GlobalMapMatcher.global_scores` remains the
+``python`` reference and the scorer of the incremental
+:class:`~repro.streaming.matching.WindowedMapMatcher`, and the two agree
+exactly (parity tested).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,10 +52,10 @@ from repro.geometry.vectorized import (
 )
 from repro.lines.road_network import RoadNetwork
 
-#: Coordinate columns of the points being matched: ``(xs, ys)``.  The batch
-#: matcher builds them once per :meth:`GlobalMapMatcher.match` call; the
-#: streaming :class:`~repro.streaming.matching.WindowedMapMatcher` appends
-#: into growable buffers and passes views, so both run the same kernels.
+#: Coordinate columns of the points being matched: ``(xs, ys)``.  The
+#: incremental :class:`~repro.streaming.matching.WindowedMapMatcher` appends
+#: into growable buffers and passes their views to
+#: :meth:`GlobalMapMatcher.global_scores`.
 CoordinateArrays = Tuple[np.ndarray, np.ndarray]
 
 #: Small-input cutoffs below which the scalar loops beat the fixed per-call
@@ -57,6 +67,153 @@ CoordinateArrays = Tuple[np.ndarray, np.ndarray]
 _VECTOR_MIN_POINTS = 32
 _VECTOR_MIN_CANDIDATES = 8
 _VECTOR_MIN_WINDOW = 16
+
+#: Block shape of :func:`episode_global_scores`: rows (points) scored
+#: together, and window offsets handled per array pass.  Every pass allocates
+#: (rows x offsets x candidates) temporaries, so the fixed shape bounds them
+#: however long the episode or dense its windows.
+_ROW_BLOCK = 128
+_OFFSET_CHUNK = 16
+
+LocalScores = Dict[str, Tuple[float, LineOfInterest]]
+
+
+def context_window_extents(
+    xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, radius: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Backward and forward context-window lengths of the points ``rows``.
+
+    Point ``i``'s window is ``range(i - before, i + after + 1)``: the walks of
+    :meth:`GlobalMapMatcher._window_indices`, which stop at the first
+    neighbour not strictly closer than ``radius``.  Each array pass tests a
+    chunk of window offsets for every row whose walk is still running, with
+    the same ``sqrt(dx*dx + dy*dy) < radius`` comparison as the scalar walk.
+    """
+    n = len(xs)
+    extents = []
+    for step in (-1, 1):
+        extent = np.zeros(rows.size, dtype=np.intp)
+        running = np.arange(rows.size)
+        first = 1
+        while running.size:
+            centres = rows[running, None]
+            neighbours = centres + step * np.arange(first, first + _OFFSET_CHUNK)
+            exists = (neighbours >= 0) & (neighbours < n)
+            neighbours = np.where(exists, neighbours, centres)
+            dx = xs[neighbours] - xs[centres]
+            dy = ys[neighbours] - ys[centres]
+            inside = exists & (np.sqrt(dx * dx + dy * dy) < radius)
+            full = inside.all(axis=1)
+            extent[running] += np.where(full, _OFFSET_CHUNK, np.argmin(inside, axis=1))
+            running = running[full]
+            first += _OFFSET_CHUNK
+        extents.append(extent)
+    return extents[0], extents[1]
+
+
+def episode_global_scores(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    local_scores: Sequence[LocalScores],
+    radius: float,
+    bandwidth: float,
+) -> List[Dict[str, float]]:
+    """Equations 3-4 for every point of an episode at once.
+
+    Returns, per point, the global score of each of its candidates (an empty
+    dict for a point without candidates), exactly what
+    :meth:`GlobalMapMatcher.global_scores` returns point by point under the
+    ``numpy`` backend:
+
+    * the windows come from :func:`context_window_extents`;
+    * a point whose window has at least ``_VECTOR_MIN_WINDOW`` points gets
+      ``np.exp`` kernel weights, a smaller window ``math.exp`` ones — the two
+      may differ by 1 ulp, so the per-point choice is kept;
+    * ``weight * localScore`` is summed for each point and candidate in
+      ascending neighbour order: ``np.cumsum`` adds sequentially, and a slot
+      outside the window or a neighbour without the candidate adds ``0.0``,
+      which leaves the non-negative sum unchanged.  The sums are therefore
+      bit-identical to the scalar loop's.
+
+    Points are processed in blocks of ``_ROW_BLOCK`` rows and
+    ``_OFFSET_CHUNK`` window offsets.
+    """
+    n = len(local_scores)
+    result: List[Dict[str, float]] = [{} for _ in range(n)]
+    counts = np.fromiter((len(scores) for scores in local_scores), dtype=np.intp, count=n)
+    scored = np.flatnonzero(counts)
+    if not scored.size:
+        return result
+
+    # Dense segment codes; candidate (point, code) pairs become sorted keys
+    # in which a neighbour's score is looked up with one searchsorted call.
+    codes: Dict[str, int] = {}
+    flat_codes = np.fromiter(
+        (
+            codes.setdefault(segment_id, len(codes))
+            for scores in local_scores
+            for segment_id in scores
+        ),
+        dtype=np.intp,
+        count=int(counts.sum()),
+    )
+    flat_scores = np.fromiter(
+        (score for scores in local_scores for score, _ in scores.values()),
+        dtype=np.float64,
+        count=flat_codes.size,
+    )
+    stride = len(codes) + 1  # code len(codes) pads unused candidate slots
+    owners = np.repeat(np.arange(n), counts)
+    slots = np.arange(flat_codes.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = int(counts.max())
+    candidates = np.full((n, width), stride - 1, dtype=np.intp)
+    candidates[owners, slots] = flat_codes
+    keys = owners * stride + flat_codes
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    sorted_scores = flat_scores[order]
+    last_key = sorted_keys.size - 1
+    denominator = 2.0 * bandwidth * bandwidth
+
+    for start in range(0, scored.size, _ROW_BLOCK):
+        rows = scored[start : start + _ROW_BLOCK]
+        before, after = context_window_extents(xs, ys, rows, radius)
+        exact_exp = (before + after + 1 < _VECTOR_MIN_WINDOW)[:, None]
+        before = before[:, None]
+        after = after[:, None]
+        centres = rows[:, None]
+        row_candidates = candidates[rows][:, None, :]
+        total = np.zeros((rows.size, 1))
+        weighted = np.zeros((rows.size, 1, width))
+        last = int(after.max())
+        for first in range(-int(before.max()), last + 1, _OFFSET_CHUNK):
+            offsets = np.arange(first, min(first + _OFFSET_CHUNK, last + 1))
+            inside = (offsets >= -before) & (offsets <= after)
+            neighbours = np.where(inside, centres + offsets, centres)
+            dx = xs[neighbours] - xs[centres]
+            dy = ys[neighbours] - ys[centres]
+            distances = np.sqrt(dx * dx + dy * dy)
+            exponents = -(distances * distances) / denominator
+            weights = np.exp(exponents)
+            exact = inside & exact_exp
+            if exact.any():
+                weights[exact] = list(map(math.exp, exponents[exact].tolist()))
+            weights[~inside] = 0.0
+            total = np.cumsum(np.concatenate((total, weights), axis=1), axis=1)[:, -1:]
+            query = neighbours[:, :, None] * stride + row_candidates
+            found = np.minimum(np.searchsorted(sorted_keys, query), last_key)
+            values = np.where(sorted_keys[found] == query, sorted_scores[found], 0.0)
+            terms = weights[:, :, None] * values
+            weighted = np.cumsum(np.concatenate((weighted, terms), axis=1), axis=1)[:, -1:]
+        # Every window holds its centre at weight exp(-0.0) == 1, so each
+        # total is positive and the scalar scorer's fallback for a weightless
+        # window never applies.
+        totals = total[:, 0].tolist()
+        for row, row_total, sums in zip(rows.tolist(), totals, weighted[:, 0].tolist()):
+            result[row] = {
+                segment_id: value / row_total for segment_id, value in zip(local_scores[row], sums)
+            }
+    return result
 
 
 @dataclass(frozen=True)
@@ -147,16 +304,15 @@ class GlobalMapMatcher:
         """Match every GPS point of a move episode to a road segment."""
         if not points:
             return []
-        coords: Optional[CoordinateArrays] = None
+        arrays: Optional[TrajectoryArrays] = None
         if self._backend == "numpy" and len(points) >= _VECTOR_MIN_POINTS:
             arrays = TrajectoryArrays.from_points(points)
-            coords = (arrays.xs, arrays.ys)
         if self._index_backend == "flat":
             # One batch index query for the whole episode; the flat index
             # prunes unreachable points through the root box, so the separate
             # reachability prefilter is unnecessary.
             local_scores = self.batch_local_scores(points)
-        elif coords is not None:
+        elif arrays is not None:
             reachable = self._reachable_mask(arrays)
             local_scores = [
                 self.local_scores(point) if reachable[index] else {}
@@ -164,20 +320,32 @@ class GlobalMapMatcher:
             ]
         else:
             local_scores = [self.local_scores(point) for point in points]
-        matched: List[MatchedPoint] = []
-        for index, point in enumerate(points):
-            candidates = local_scores[index]
-            if not candidates:
-                matched.append(
-                    MatchedPoint(point=point, segment=None, score=0.0, snapped=point.position)
-                )
-                continue
-            if self._config.use_global_score:
-                scores = self.global_scores(points, local_scores, index, coords=coords)
-            else:
-                scores = {seg_id: score for seg_id, (score, _) in candidates.items()}
-            matched.append(self.select_best(point, candidates, scores))
-        return matched
+        if not self._config.use_global_score:
+            episode_scores = [
+                {seg_id: score for seg_id, (score, _) in candidates.items()}
+                for candidates in local_scores
+            ]
+        elif arrays is not None:
+            episode_scores = episode_global_scores(
+                arrays.xs,
+                arrays.ys,
+                local_scores,
+                self._config.context_radius,
+                self._config.kernel_width,
+            )
+        else:
+            # The python reference, and short episodes, where the kernel's
+            # fixed per-call overhead exceeds the per-point walks.
+            episode_scores = [
+                self.global_scores(points, local_scores, index) if candidates else {}
+                for index, candidates in enumerate(local_scores)
+            ]
+        return [
+            self.select_best(point, candidates, scores)
+            if candidates
+            else MatchedPoint(point=point, segment=None, score=0.0, snapped=point.position)
+            for point, candidates, scores in zip(points, local_scores, episode_scores)
+        ]
 
     def _reachable_mask(self, arrays: TrajectoryArrays) -> np.ndarray:
         """Vectorized prefilter: which points could have a candidate at all.
@@ -361,10 +529,11 @@ class GlobalMapMatcher:
         observed.
 
         ``coords`` carries the episode's coordinate columns for the numpy
-        backend (built by :meth:`match`, or streamed into growable buffers by
-        the windowed matcher); the window walk and the kernel weights then
-        run vectorized, while the per-candidate accumulation keeps the scalar
-        loop's order so batch and streaming stay byte-identical.
+        backend (streamed into growable buffers by the windowed matcher); the
+        window walk and the kernel weights then run vectorized, while the
+        per-candidate accumulation keeps the scalar loop's order.  Under the
+        numpy backend :meth:`match` scores whole episodes through
+        :func:`episode_global_scores` instead, with identical results.
         """
         center = points[index].position
         radius = self._config.context_radius

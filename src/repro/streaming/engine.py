@@ -15,9 +15,8 @@ the batch pipeline and the parallel runner execute.  Concretely:
   online and runs an :class:`IncrementalStopMoveDetector` on its open buffer;
 * **sealed episodes are annotated immediately** through the plan stages'
   incremental bodies: every episode goes through the region layer, sealed
-  move episodes are matched by the
-  :class:`~repro.streaming.matching.WindowedMapMatcher` and mode-classified
-  by the line layer;
+  move episodes are matched whole (the batch matcher's episode kernel) and
+  mode-classified by the line layer;
 * sealed **stop** episodes wait for the point layer, whose HMM decodes the
   whole stop sequence at trajectory close — Viterbi is a sequence-level
   maximum-a-posteriori decoder, so per-stop categories are only final once

@@ -8,14 +8,20 @@ streaming matcher can emit the *final* match for a point long before the move
 episode ends, with a lag bounded by the spatial extent of the window rather
 than the episode length.
 
-:class:`WindowedMapMatcher` exploits exactly that: it computes each point's
-local scores on arrival, holds the point until its forward window closes (or
-:meth:`finish` marks the end of the episode) and then emits a
-:class:`~repro.lines.map_matching.MatchedPoint` that is identical to what
-:meth:`GlobalMapMatcher.match` produces on the full point sequence (parity
-tested).  Points observed so far are retained until :meth:`finish` because a
-later point's *backward* walk may reach arbitrarily far into a dense cluster;
-memory is thus bounded by the episode, the same as the batch matcher.
+:class:`WindowedMapMatcher` is the incremental API built on exactly that: it
+computes each point's local scores on arrival, holds the point until its
+forward window closes (or :meth:`finish` marks the end of the episode) and
+then emits a :class:`~repro.lines.map_matching.MatchedPoint` that is
+identical to what :meth:`GlobalMapMatcher.match` produces on the full point
+sequence (parity tested).  Points observed so far are retained until
+:meth:`finish` because a later point's *backward* walk may reach arbitrarily
+far into a dense cluster; memory is thus bounded by the episode, the same as
+the batch matcher.
+
+A complete, sealed move episode needs no incremental emission: the streaming
+engine and :meth:`WindowedMapMatcher.match_stream` hand it to the batch
+matcher, which scores the whole episode through the array kernel
+:func:`~repro.lines.map_matching.episode_global_scores`.
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ class WindowedMapMatcher:
     reset the matcher for the next episode.
 
     Under the ``numpy`` backend each pushed fix is also appended to growable
-    coordinate buffers whose views feed the exact batch kernels
-    :meth:`GlobalMapMatcher.match` uses, so streaming and batch matching stay
-    byte-identical per backend.
+    coordinate buffers whose views feed the vectorized window walk and kernel
+    weights of :meth:`GlobalMapMatcher.global_scores`; streaming and batch
+    matching stay byte-identical per backend.
     """
 
     def __init__(
@@ -57,7 +63,6 @@ class WindowedMapMatcher:
         )
         self._config = config
         self._backend = backend
-        self._index_backend = index_backend
         self._points: List[SpatioTemporalPoint] = []
         self._local: List[Dict[str, Tuple[float, LineOfInterest]]] = []
         self._xs = GrowableArray()
@@ -87,23 +92,10 @@ class WindowedMapMatcher:
         return len(self._points) - self._emitted
 
     # ------------------------------------------------------------------ feed
-    def push(
-        self,
-        point: SpatioTemporalPoint,
-        local_scores: Optional[Dict[str, Tuple[float, LineOfInterest]]] = None,
-    ) -> List[MatchedPoint]:
-        """Feed the next point of the episode; returns newly final matches.
-
-        ``local_scores`` lets a caller hand in the point's precomputed
-        Equation 2 scores (the micro-batched flat-index path of
-        :meth:`match_stream`); when omitted they are computed here, one index
-        query per point.  Both paths produce identical scores, so mixing them
-        within an episode is safe.
-        """
+    def push(self, point: SpatioTemporalPoint) -> List[MatchedPoint]:
+        """Feed the next point of the episode; returns newly final matches."""
         self._points.append(point)
-        self._local.append(
-            local_scores if local_scores is not None else self._matcher.local_scores(point)
-        )
+        self._local.append(self._matcher.local_scores(point))
         self._xs.append(point.x)
         self._ys.append(point.y)
         return self._drain(closed=False)
@@ -120,25 +112,14 @@ class WindowedMapMatcher:
         return remaining
 
     def match_stream(self, points: List[SpatioTemporalPoint]) -> List[MatchedPoint]:
-        """Convenience: push every point of a complete episode, then finish.
+        """Match a complete episode: the batch matcher's whole-episode result.
 
-        Under the flat index backend the Equation 2 local scores of the whole
-        episode are precomputed with one batch index query (this is how the
-        streaming engine consumes sealed move episodes); the emission
-        schedule and every score stay identical to point-by-point pushing.
+        Equal to pushing every point and finishing, without the per-point
+        emission schedule a sealed episode does not need.
         """
         if self._points:
             raise DataQualityError("matcher already has a stream in flight")
-        precomputed: Optional[List[Dict[str, Tuple[float, LineOfInterest]]]] = None
-        if self._index_backend == "flat" and points:
-            precomputed = self._matcher.batch_local_scores(points)
-        matched: List[MatchedPoint] = []
-        for index, point in enumerate(points):
-            matched.extend(
-                self.push(point, local_scores=precomputed[index] if precomputed else None)
-            )
-        matched.extend(self.finish())
-        return matched
+        return self._matcher.match(points)
 
     # ------------------------------------------------------------- internals
     def _drain(self, closed: bool) -> List[MatchedPoint]:
@@ -168,10 +149,10 @@ class WindowedMapMatcher:
 
     def _forward_window_closed(self, index: int) -> bool:
         """True once a point at distance ``>= R`` after ``index`` was observed."""
-        center = self._points[index].position
+        center = self._points[index]
         radius = self._config.context_radius
         while self._scan < len(self._points):
-            if center.distance_to(self._points[self._scan].position) >= radius:
+            if center.distance_to(self._points[self._scan]) >= radius:
                 return True
             self._scan += 1
         return False

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.core.errors import DataQualityError
@@ -35,6 +38,16 @@ class TestSpatioTemporalPoint:
         a = SpatioTemporalPoint(0, 0, 0)
         b = SpatioTemporalPoint(3, 4, 0)
         assert a.speed_to(b) == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e7, 1e150])
+    def test_distance_to_equals_point_distance_bitwise(self, scale):
+        rng = random.Random(int(math.log10(scale)))
+        for _ in range(500):
+            a = SpatioTemporalPoint(rng.uniform(-scale, scale), rng.uniform(-scale, scale), 0.0)
+            b = SpatioTemporalPoint(rng.uniform(-scale, scale), rng.uniform(-scale, scale), 1.0)
+            expected = a.position.distance_to(b.position)
+            assert a.distance_to(b).hex() == expected.hex()
+            assert b.distance_to(a).hex() == b.position.distance_to(a.position).hex()
 
 
 class TestRawTrajectory:

@@ -34,12 +34,16 @@ def test_windowed_matches_batch(road_network, vehicle_pipeline, taxi_dataset, us
     assert runs
     for points in runs:
         expected = batch.match(points)
-        streamed = windowed.match_stream(points)
+        assert windowed.match_stream(points) == expected
+        streamed = []
+        for point in points:
+            streamed.extend(windowed.push(point))
+        streamed.extend(windowed.finish())
         assert [m.segment_id for m in streamed] == [m.segment_id for m in expected]
-        assert [m.score for m in streamed] == pytest.approx([m.score for m in expected])
-        assert [(m.snapped.x, m.snapped.y) for m in streamed] == pytest.approx(
-            [(m.snapped.x, m.snapped.y) for m in expected]
-        )
+        assert [m.score for m in streamed] == [m.score for m in expected]
+        assert [(m.snapped.x, m.snapped.y) for m in streamed] == [
+            (m.snapped.x, m.snapped.y) for m in expected
+        ]
 
 
 def test_ground_truth_drive_parity(road_network, vehicle_pipeline, ground_truth_drive):
