@@ -1,14 +1,16 @@
-"""Multi-core scaling of the sharded parallel annotation runner.
+"""Multi-core scaling of the sharded process-pool executor.
 
 Annotates a scalability-style workload (many objects, full annotation stack)
 across the executor/dispatch/transport matrix — sequential ``annotate_many``,
-the parallel runner on the serial executor (isolates sharding/merge overhead)
+the serial executor with deferred write-back (isolates the merge overhead)
 and the 4-worker process pool under every dispatch mode (``static`` is the
 historical round-robin baseline, ``balanced`` bin-packs by GPS point count,
 ``stealing`` adds finer shards drained largest-first) plus a
 ``shared_memory="on"`` run that exercises the zero-copy segment transport —
-and reports throughput for each.  Output equality is asserted byte-for-byte
-on every run.
+and reports throughput for each.  Every leg runs once untimed (which also
+forks and primes each pool), then the legs are timed interleaved, best of
+``ROUNDS`` each, so host noise hits every leg alike.  Output equality is
+asserted byte-for-byte on every run.
 
 The speedup gate is tiered by what the machine can actually deliver: the
 sidecar records the affinity-aware effective core count next to every number,
@@ -28,12 +30,8 @@ from repro.analytics.reporting import render_table
 from repro.core import PipelineConfig, SeMiTriPipeline
 from repro.core.cpu import effective_cpu_count
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.parallel import (
-    GeoContext,
-    ParallelAnnotationRunner,
-    canonical_bytes,
-    canonical_digest,
-)
+from repro.engine import Plan, ProcessPoolExecutor, SequentialExecutor
+from repro.parallel import GeoContext, canonical_bytes, canonical_digest
 
 WORKERS = 4
 #: Required pool speedup when the machine really has >= WORKERS cores.
@@ -41,6 +39,8 @@ SPEEDUP_TARGET = 1.5
 #: Reduced target on 2-3 core machines: perfect WORKERS-way scaling is
 #: impossible there, but the pool must still beat sequential.
 SPEEDUP_TARGET_SMALL = 1.1
+#: Timed rounds per leg, after one untimed warm-up round.
+ROUNDS = 5
 
 
 def _scalability_workload(world, objects: int = 8, points_per_object: int = 600):
@@ -74,55 +74,45 @@ def test_parallel_scaling(benchmark, world, annotation_sources):
     context = GeoContext.build(annotation_sources, config)
     effective = effective_cpu_count()
 
-    def best_of(rounds, fn):
-        """Minimum wall time over several rounds: robust to scheduler noise."""
-        best = None
-        result = None
-        for _ in range(rounds):
-            started = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None or elapsed < best else best
-        return best, result
-
-    def timed_pool(dispatch: str, shared_memory: str = "auto"):
-        with ParallelAnnotationRunner(
-            config=config,
-            workers=WORKERS,
-            executor="process",
-            dispatch=dispatch,
-            shared_memory=shared_memory,
-        ) as runner:
-            # Warm the pool with a full-width batch so every worker is forked
-            # and primed before the timed rounds.
-            runner.annotate_many(trajectories, context=context)
-            return best_of(3, lambda: runner.annotate_many(trajectories, context=context))
-
-    #: mode name -> (timed fn, is this a pool mode the speedup gate may judge)
-    pool_modes = {
-        f"pool x{WORKERS} static": lambda: timed_pool("static"),
-        f"pool x{WORKERS} balanced": lambda: timed_pool("balanced"),
-        f"pool x{WORKERS} stealing": lambda: timed_pool("stealing"),
-        f"pool x{WORKERS} balanced+shm": lambda: timed_pool("balanced", "on"),
+    plan = Plan.from_context(context)
+    #: pool mode name -> a warm pool (every pool mode is one the speedup gate may judge)
+    pools = {
+        f"pool x{WORKERS} {name}": ProcessPoolExecutor(
+            workers=WORKERS, dispatch=dispatch, shared_memory=shared_memory
+        )
+        for name, dispatch, shared_memory in (
+            ("static", "static", "auto"),
+            ("balanced", "balanced", "auto"),
+            ("stealing", "stealing", "auto"),
+            ("balanced+shm", "balanced", "on"),
+        )
+    }
+    legs = {
+        "sequential": lambda: SeMiTriPipeline(config).annotate_many(
+            trajectories, annotation_sources, annotators=context.annotators
+        ),
+        "serial executor": lambda: SequentialExecutor(deferred_writeback=True).run(
+            plan, trajectories
+        ),
+        **{mode: (lambda pool=pool: pool.run(plan, trajectories)) for mode, pool in pools.items()},
     }
 
     def run():
-        measured = {}
-        measured["sequential"] = best_of(
-            3,
-            lambda: SeMiTriPipeline(config).annotate_many(
-                trajectories, annotation_sources, annotators=context.annotators
-            ),
-        )
-        serial_runner = ParallelAnnotationRunner(config=config, workers=WORKERS, executor="serial")
-        measured["serial executor"] = best_of(
-            3, lambda: serial_runner.annotate_many(trajectories, context=context)
-        )
-        for mode, fn in pool_modes.items():
-            measured[mode] = fn()
-        return measured
+        """Untimed warm-up of every leg, then ``ROUNDS`` interleaved timed rounds."""
+        results = {leg: fn() for leg, fn in legs.items()}
+        best = dict.fromkeys(legs, float("inf"))
+        for _ in range(ROUNDS):
+            for leg, fn in legs.items():
+                started = time.perf_counter()
+                results[leg] = fn()
+                best[leg] = min(best[leg], time.perf_counter() - started)
+        return {leg: (best[leg], results[leg]) for leg in legs}
 
-    measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    try:
+        measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    finally:
+        for pool in pools.values():
+            pool.close()
 
     reference_bytes = canonical_bytes(measured["sequential"][1])
     for mode, (_, results) in measured.items():
@@ -150,7 +140,7 @@ def test_parallel_scaling(benchmark, world, annotation_sources):
     }
     for mode, (seconds, _) in measured.items():
         speedup = sequential_seconds / max(seconds, 1e-9)
-        is_pool = mode in pool_modes
+        is_pool = mode in pools
         rows.append(
             [
                 mode,
@@ -180,7 +170,7 @@ def test_parallel_scaling(benchmark, world, annotation_sources):
     assert data["modes"]["serial executor"]["speedup_vs_sequential"] > 0.8
     if gate_armed:
         best_pool = max(
-            data["modes"][mode]["speedup_vs_sequential"] for mode in pool_modes
+            data["modes"][mode]["speedup_vs_sequential"] for mode in pools
         )
         assert best_pool > gate_target, (
             f"expected >{gate_target}x at {WORKERS} workers on {effective} cores, "
@@ -189,6 +179,6 @@ def test_parallel_scaling(benchmark, world, annotation_sources):
     else:
         pool_speedups = ", ".join(
             f"{mode}: {data['modes'][mode]['speedup_vs_sequential']:.2f}x"
-            for mode in pool_modes
+            for mode in pools
         )
         print(f"\n[speedup gate disarmed on {effective} core(s); recorded {pool_speedups}]")

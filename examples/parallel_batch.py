@@ -4,15 +4,18 @@ This example builds a private-car fleet, snapshots the geographic sources
 once into an immutable :class:`GeoContext` (frozen R-trees, POI grid, HMM)
 and annotates the whole fleet three ways:
 
-* sequentially with :meth:`SeMiTriPipeline.annotate_many`,
-* with the :class:`ParallelAnnotationRunner` on its in-process serial
-  executor (same sharding and merge, zero processes — the determinism
-  baseline), and
-* with the runner on a process pool, where every worker annotates its shards
-  against the same snapshot.
+* sequentially with :func:`repro.annotate_many`,
+* on a :class:`SequentialExecutor` with deferred write-back (the merge and
+  one-transaction commit of the sharded path, zero processes — the
+  determinism baseline), and
+* on a warm :class:`ProcessPoolExecutor`, where every worker annotates its
+  shards against the same snapshot.
 
-It then verifies that all three outputs are byte-identical and prints the
-wall-clock comparison, the shard layout and the per-trajectory summary.
+``repro.annotate_many(..., workers=4)`` runs the last of these in one call,
+with a pool that lives for that call; driving the executor directly keeps
+the pool warm across batches.  The example verifies that all three outputs
+are byte-identical and prints the wall-clock comparison and the
+per-trajectory summary.
 
 Run it with::
 
@@ -27,11 +30,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import repro
 from repro import AnnotationSources, PipelineConfig
 from repro.core.cpu import effective_cpu_count
-from repro.core.pipeline import SeMiTriPipeline
 from repro.datasets import PrivateCarSimulator, SyntheticWorld, WorldConfig
-from repro.parallel import GeoContext, ParallelAnnotationRunner, canonical_bytes
+from repro.engine import Plan, ProcessPoolExecutor, SequentialExecutor
+from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
 
 WORKERS = 4
@@ -58,30 +62,29 @@ def main() -> None:
 
     # 3. Sequential reference.
     started = time.perf_counter()
-    sequential = SeMiTriPipeline(config).annotate_many(
-        trajectories, sources, annotators=context.annotators
-    )
+    sequential = repro.annotate_many(trajectories, context=context)
     sequential_s = time.perf_counter() - started
 
-    # 4. Serial executor: sharding + merge without processes.
-    serial_runner = ParallelAnnotationRunner(config=config, workers=WORKERS, executor="serial")
+    # 4. Serial executor: merge + deferred commit without processes.
     started = time.perf_counter()
-    serial = serial_runner.annotate_many(trajectories, context=context)
+    serial = SequentialExecutor(deferred_writeback=True).run(
+        Plan.from_context(context), trajectories
+    )
     serial_s = time.perf_counter() - started
 
-    # 5. Process pool over the shared snapshot, persisting through the
-    #    sharded store writer (committed in input order, single transaction).
+    # 5. Process pool over the shared snapshot, persisting the merged batch
+    #    in input order in one transaction.
     store = SemanticTrajectoryStore()
-    with ParallelAnnotationRunner(
-        config=config, workers=WORKERS, executor="process", store=store
-    ) as runner:
+    with ProcessPoolExecutor(workers=WORKERS) as pool:
         # Warm the pool with a full-width batch: a single-trajectory batch
         # would collapse to one shard and never start the workers.
-        runner.annotate_many(trajectories, context=context)
+        pool.run(Plan.from_context(context), trajectories)
         started = time.perf_counter()
-        parallel = runner.annotate_many(trajectories, context=context, persist=True)
+        parallel = pool.run(
+            Plan.from_context(context, store=store, persist=True), trajectories
+        )
         parallel_s = time.perf_counter() - started
-    print(f"persisted via sharded writer: {store.stop_move_summary()}")
+    print(f"persisted via the merged commit: {store.stop_move_summary()}")
 
     # 6. Determinism guarantee: all three runs are byte-identical.
     assert canonical_bytes(sequential) == canonical_bytes(serial) == canonical_bytes(parallel)

@@ -2,11 +2,12 @@
 
 This example simulates several smartphone users, merges their daily GPS
 fixes into one time-ordered event feed (as a gateway would see it) and pushes
-the feed event-by-event through the :class:`StreamingAnnotationEngine`.  The
-engine keeps one session per user, seals stop/move episodes online, annotates
-them with the region/line/point layers and persists every sealed trajectory
-into the semantic trajectory store — printing each day's semantic summary the
-moment the trajectory closes, not when the dataset ends.
+the feed event-by-event through the micro-batch executor that
+:func:`repro.stream` returns.  The executor keeps one session per user,
+seals stop/move episodes online, annotates them with the region/line/point
+layers and persists every sealed trajectory into the semantic trajectory
+store — printing each day's semantic summary the moment the trajectory
+closes, not when the dataset ends.
 
 Run it with::
 
@@ -60,10 +61,10 @@ def main() -> None:
     )
     print(f"live feed: {len(events):,} GPS events from {len(dataset.user_ids)} users\n")
 
-    # 3. Stream everything through the engine; gap-based close-out seals each
+    # 3. Stream everything through the executor; gap-based close-out seals each
     #    user's day automatically when the overnight gap appears in the feed.
     store = SemanticTrajectoryStore()
-    engine = repro.stream(
+    executor = repro.stream(
         sources,
         config=PipelineConfig.for_people(),
         store=store,
@@ -71,11 +72,11 @@ def main() -> None:
         on_result=describe,
     )
     for _, object_id, point in events:
-        engine.ingest(object_id, point)
-    engine.close_all()
+        executor.ingest(object_id, point)
+    executor.close_all()
 
-    # 4. Engine and store statistics.
-    stats = engine.stats
+    # 4. Executor and store statistics.
+    stats = executor.stats
     print(
         f"\nprocessed {stats.events:,} events in {stats.processing_passes} micro-batches: "
         f"{stats.results} trajectories, {stats.episodes_sealed} episodes sealed"

@@ -12,23 +12,30 @@ entry point         what it gives you
 :func:`open_pipeline`  a :class:`SeMiTriPipeline` for batch annotation
 :func:`annotate`       one trajectory, annotated (one-shot convenience)
 :func:`annotate_many`  a batch, sequential or multi-process via ``workers``
-:func:`stream`         a :class:`StreamingAnnotationEngine` for online feeds
+:func:`stream`         a :class:`~repro.engine.executors.MicroBatchExecutor`
+                       for online feeds
 :func:`serve`          an :class:`AnnotationService` multiplexing many feeds
 :func:`compile_plan`   the stage-graph :class:`Plan` behind all of the above
 ==================  ========================================================
 
-The pre-PR 8 entry points (``repro.SeMiTriPipeline``,
-``repro.StreamingAnnotationEngine``) still work but are deprecated at the
-top level; deep imports (``repro.core``, ``repro.streaming``) remain
-supported for library-internal and advanced use.
+Nothing sits between these functions and :mod:`repro.engine`: each one
+compiles a :class:`~repro.engine.plan.Plan` (from a
+:class:`~repro.parallel.context.GeoContext` snapshot when one is passed) and
+runs it on an executor, or hands the executor back.  Wherever a snapshot
+stands in for the sources, an explicit config must equal the snapshot's
+(:meth:`GeoContext.resolve_config`).  Deep imports (``repro.core``,
+``repro.engine``, ``repro.streaming``) remain supported for library-internal
+and advanced use.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.config import PipelineConfig
 from repro.core.episodes import Episode
+from repro.core.errors import ConfigurationError
 from repro.core.pipeline import (
     AnnotationSources,
     LayerAnnotators,
@@ -39,11 +46,11 @@ from repro.core.points import RawTrajectory
 
 if TYPE_CHECKING:  # deferred: the engine/streaming/parallel modules form an
     # import cycle with the package root; functions import them lazily.
+    from repro.engine.executors import MicroBatchExecutor
     from repro.engine.plan import Plan
     from repro.parallel.context import GeoContext
     from repro.service.service import AnnotationService
     from repro.store.store import SemanticTrajectoryStore
-    from repro.streaming.engine import StreamingAnnotationEngine
 
 __all__ = [
     "annotate",
@@ -68,6 +75,18 @@ def _resolve_config(
     return PipelineConfig.from_dict(config, overrides=overrides)
 
 
+def _explicit_config(
+    config: ConfigLike, overrides: Optional[Mapping[str, object]]
+) -> Optional[PipelineConfig]:
+    """The caller's config, or ``None`` when neither it nor overrides were given.
+
+    ``None`` lets a :class:`GeoContext` snapshot's own config rule.
+    """
+    if config is None and overrides is None:
+        return None
+    return _resolve_config(config, overrides)
+
+
 def open_pipeline(
     config: ConfigLike = None,
     store: Optional[SemanticTrajectoryStore] = None,
@@ -90,10 +109,13 @@ def annotate(
     persist: bool = False,
     overrides: Optional[Mapping[str, object]] = None,
 ) -> PipelineResult:
-    """Annotate one raw trajectory (one-shot convenience over a pipeline)."""
-    return open_pipeline(config, store=store, overrides=overrides).annotate(
-        trajectory, sources, persist=persist
+    """Annotate one raw trajectory (one-shot convenience)."""
+    from repro.engine import Plan, SequentialExecutor
+
+    plan = Plan.compile(
+        sources, config=_resolve_config(config, overrides), store=store, persist=persist
     )
+    return SequentialExecutor().run_one(plan, trajectory)
 
 
 def annotate_many(
@@ -109,39 +131,63 @@ def annotate_many(
     """Annotate a batch of trajectories, sequentially or across processes.
 
     With ``workers`` unset (or 1, the config default) this is the plain
-    sequential batch mode.  Any other value routes through the
-    :class:`~repro.parallel.runner.ParallelAnnotationRunner` — ``workers=0``
-    auto-detects the effective core count, ``workers>1`` shards by moving
-    object across that many processes — with results (and persisted rows)
-    byte-identical to the sequential run.  A prebuilt ``context`` snapshot
-    may stand in for ``sources`` to skip index building.
+    sequential batch mode.  Any other value shards the batch by moving
+    object — ``workers=0`` auto-detects the effective core count — on a
+    :class:`~repro.engine.executors.ProcessPoolExecutor` that lives for this
+    call (or, with ``parallel.executor="serial"``, an in-process
+    :class:`~repro.engine.executors.SequentialExecutor` with deferred
+    write-back), with results (and persisted rows) byte-identical to the
+    sequential run.  A prebuilt ``context`` snapshot may stand in for
+    ``sources`` to skip index building.
     """
-    resolved = _resolve_config(config, overrides)
-    if context is not None and config is None and overrides is None:
-        resolved = context.config
-    effective_workers = resolved.parallel.workers if workers is None else workers
-    if effective_workers == 1 and resolved.parallel.executor != "process":
-        if context is not None:
-            pipeline = SeMiTriPipeline(resolved, store=store)
-            return pipeline.annotate_many(
-                trajectories,
-                context.sources if sources is None else sources,
-                persist=persist,
-                annotators=context.annotators,
-            )
-        if sources is None:
-            raise _missing_sources()
-        return SeMiTriPipeline(resolved, store=store).annotate_many(
-            trajectories, sources, persist=persist
-        )
-    if sources is None and context is None:
-        raise _missing_sources()
-    from repro.parallel.runner import ParallelAnnotationRunner
+    from repro.engine import Plan, ProcessPoolExecutor, SequentialExecutor
+    from repro.faults.failures import FailureLog
+    from repro.parallel.context import GeoContext
 
-    with ParallelAnnotationRunner(resolved, workers=workers, store=store) as runner:
-        return runner.annotate_many(
-            trajectories, sources=sources, persist=persist, context=context
+    explicit = _explicit_config(config, overrides)
+    if context is not None:
+        if sources is not None and sources is not context.sources:
+            raise ConfigurationError("sources and context disagree; pass one or the other")
+        resolved = context.resolve_config(explicit)
+    elif sources is None:
+        raise _missing_sources()
+    else:
+        resolved = explicit if explicit is not None else PipelineConfig()
+    parallel = resolved.parallel
+    if workers is not None:
+        parallel = dataclasses.replace(parallel, workers=int(workers))  # re-validates
+    if not trajectories:
+        return []
+    if parallel.workers == 1 and parallel.executor != "process":
+        plan = (
+            Plan.from_context(context, store=store, persist=persist)
+            if context is not None
+            else Plan.compile(sources, config=resolved, store=store, persist=persist)
         )
+        return SequentialExecutor().run(plan, trajectories)
+
+    if context is None:
+        assert sources is not None
+        context = GeoContext.build(sources, resolved)
+    plan = Plan.from_context(
+        context,
+        store=store,
+        persist=persist,
+        failure_log=FailureLog(resolved.failure, store=store),
+    )
+    count = parallel.resolved_workers
+    if parallel.executor == "serial" or (parallel.executor == "auto" and count == 1):
+        # Deferred write-back commits the merged batch in one transaction,
+        # the same shape as the pool's, so persistence cannot depend on the
+        # executor.
+        return SequentialExecutor(deferred_writeback=True).run(plan, trajectories)
+    with ProcessPoolExecutor(
+        workers=count,
+        shards_per_worker=parallel.shards_per_worker,
+        dispatch=parallel.dispatch,
+        shared_memory=parallel.shared_memory,
+    ) as executor:
+        return executor.run(plan, trajectories)
 
 
 def stream(
@@ -152,29 +198,25 @@ def stream(
     on_result: Optional[Callable[[PipelineResult], None]] = None,
     on_episode: Optional[Callable[[Episode], None]] = None,
     overrides: Optional[Mapping[str, object]] = None,
-) -> StreamingAnnotationEngine:
-    """An online annotation engine for one ``(object_id, point)`` event feed.
+) -> MicroBatchExecutor:
+    """An online annotation executor for one ``(object_id, point)`` event feed.
 
-    ``sources`` may be raw sources or a prebuilt
+    Feed it with ``ingest``/``ingest_many`` and end objects with
+    ``close_object``/``close_all``; ``.plan`` carries the config, store and
+    telemetry it runs with.  ``sources`` may be raw sources or a prebuilt
     :class:`~repro.parallel.context.GeoContext` snapshot; with a snapshot,
-    ``config``/``overrides`` must be unset (the snapshot's config rules).
+    ``config``/``overrides`` must be unset or equal to the snapshot's config.
     """
+    from repro.engine import MicroBatchExecutor, Plan
     from repro.parallel.context import GeoContext
-    from repro.streaming.engine import StreamingAnnotationEngine
 
-    resolved: Optional[PipelineConfig]
-    if isinstance(sources, GeoContext) and config is None and overrides is None:
-        resolved = None  # adopt the snapshot's config
+    explicit = _explicit_config(config, overrides)
+    if isinstance(sources, GeoContext):
+        sources.resolve_config(explicit)
+        plan = Plan.from_context(sources, store=store, persist=persist)
     else:
-        resolved = _resolve_config(config, overrides)
-    return StreamingAnnotationEngine(
-        sources,
-        config=resolved,
-        store=store,
-        persist=persist,
-        on_result=on_result,
-        on_episode=on_episode,
-    )
+        plan = Plan.compile(sources, config=explicit, store=store, persist=persist)
+    return MicroBatchExecutor(plan, on_result=on_result, on_episode=on_episode)
 
 
 def serve(
@@ -193,17 +235,11 @@ def serve(
     the session memory budget.  For emitters speaking HTTP, wrap the service
     in an :class:`~repro.service.http.HttpIngestServer`.
     """
-    from repro.parallel.context import GeoContext
     from repro.service.service import AnnotationService
 
-    resolved: Optional[PipelineConfig]
-    if isinstance(sources, GeoContext) and config is None and overrides is None:
-        resolved = None
-    else:
-        resolved = _resolve_config(config, overrides)
     return AnnotationService(
         sources,
-        config=resolved,
+        config=_explicit_config(config, overrides),
         store=store,
         persist=persist,
         on_result=on_result,
@@ -229,16 +265,8 @@ def compile_plan(
     from repro.engine.plan import Plan
 
     if context is not None:
-        if config is None and overrides is None:
-            return Plan.from_context(context, store=store, persist=persist, layers=layers)
-        return Plan.compile(
-            sources=context.sources,
-            config=_resolve_config(config, overrides),
-            annotators=context.annotators,
-            store=store,
-            persist=persist,
-            layers=layers,
-        )
+        context.resolve_config(_explicit_config(config, overrides))
+        return Plan.from_context(context, store=store, persist=persist, layers=layers)
     if sources is None and annotators is None:
         raise _missing_sources()
     return Plan.compile(
@@ -251,9 +279,7 @@ def compile_plan(
     )
 
 
-def _missing_sources() -> Exception:
-    from repro.core.errors import ConfigurationError
-
+def _missing_sources() -> ConfigurationError:
     return ConfigurationError(
         "annotation needs geographic data: pass sources=AnnotationSources(...) "
         "or context=GeoContext.build(...)"

@@ -1,4 +1,4 @@
-"""Core data model and pipeline façade for SeMiTri.
+"""Core data model and batch pipeline for SeMiTri.
 
 This package implements the conceptual model of Section 3 of the paper:
 

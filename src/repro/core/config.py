@@ -311,10 +311,10 @@ class ComputeConfig:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Parameters of the sharded parallel annotation runtime.
+    """Parameters of the sharded parallel batch path of ``annotate_many``.
 
-    The runner partitions trajectories by moving object into shards, annotates
-    the shards on an executor against one immutable :class:`GeoContext`
+    The process-pool executor partitions trajectories by moving object into
+    shards, annotates the shards against one immutable :class:`GeoContext`
     snapshot and merges the results back into input order, so the output is
     identical to the sequential pipeline regardless of these knobs.
     """

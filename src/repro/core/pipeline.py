@@ -1,4 +1,4 @@
-"""The SeMiTri pipeline façade (Figure 2).
+"""The SeMiTri batch pipeline (Figure 2).
 
 :class:`SeMiTriPipeline` wires the layers together: GPS cleaning, trajectory
 identification, stop/move computation, and the three semantic annotation
@@ -20,14 +20,12 @@ available (e.g. the sparse Lausanne POI set).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.analytics.latency import LatencyProfile
 from repro.core.config import PipelineConfig
 from repro.core.episodes import Episode
-from repro.core.errors import ConfigurationError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.core.trajectory import StructuredSemanticTrajectory
 from repro.lines.annotator import LineAnnotator
@@ -39,12 +37,8 @@ from repro.regions.sources import RegionSource
 from repro.store.store import SemanticTrajectoryStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.engine.plan import Plan
     from repro.faults.failures import FailureEvent
     from repro.obs.trace import Span
-
-    #: One compiled-plan cache entry: the id-anchoring objects plus the plan.
-    _CachedPlan = Tuple["LayerAnnotators", Optional["AnnotationSources"], "Plan"]
 
 
 @dataclass
@@ -72,7 +66,7 @@ class LayerAnnotators:
     """The three layer annotators built once for a batch or stream of work.
 
     Building an annotator indexes its source (R-tree, grids, HMM), so both
-    batch runs and the streaming engine construct this bundle once and reuse
+    batch runs and the streaming executor construct this bundle once and reuse
     it for every trajectory.
     """
 
@@ -182,13 +176,6 @@ class SeMiTriPipeline:
         self._clean_stage = CleanStage(config)
         self._identify_stage = IdentifyStage(config)
         self._episode_stage = ComputeEpisodesStage(config)
-        # Compiled plans for caller-supplied annotator bundles, keyed by
-        # (bundle id, sources id, persist) with both objects kept alive so
-        # the ids stay unambiguous; bounded FIFO so long-lived pipelines
-        # cannot pin an unbounded number of bundles.
-        self._plans: "OrderedDict[Tuple[int, Optional[int], bool], _CachedPlan]" = (
-            OrderedDict()
-        )
 
     @property
     def config(self) -> PipelineConfig:
@@ -213,53 +200,6 @@ class SeMiTriPipeline:
         return self._episode_stage.detector.segment(trajectory)
 
     # -------------------------------------------------------------- annotation
-    def build_annotators(self, sources: AnnotationSources) -> LayerAnnotators:
-        """Construct the layer annotators for the available sources."""
-        return LayerAnnotators.build(sources, self._config)
-
-    #: Bounded size of the per-bundle compiled-plan cache.
-    _PLAN_CACHE_LIMIT = 8
-
-    def compile_plan(
-        self,
-        sources: Optional[AnnotationSources] = None,
-        annotators: Optional[LayerAnnotators] = None,
-        persist: bool = False,
-    ) -> "Plan":
-        """The compiled stage plan for the given sources/annotators.
-
-        When only ``sources`` are given the annotator bundle (and the plan)
-        is built fresh per call — sources may change between calls, so their
-        indexes are re-derived each time, exactly like the pre-engine
-        pipeline.  Plans for caller-supplied ``annotators`` bundles are
-        cached (bounded), so per-trajectory entry points like
-        :meth:`annotate_prepared` reuse the compiled stage graph.
-        """
-        from repro.engine import Plan
-
-        if annotators is None:
-            if sources is None:
-                raise ConfigurationError("compile_plan needs annotation sources or annotators")
-            return Plan.compile(
-                sources=sources, config=self._config, store=self._store, persist=persist
-            )
-        key = (id(annotators), None if sources is None else id(sources), persist)
-        cached = self._plans.get(key)
-        if cached is not None and cached[0] is annotators and cached[1] is sources:
-            self._plans.move_to_end(key)
-            return cached[2]
-        plan = Plan.compile(
-            sources=sources,
-            config=self._config,
-            annotators=annotators,
-            store=self._store,
-            persist=persist,
-        )
-        self._plans[key] = (annotators, sources, plan)
-        while len(self._plans) > self._PLAN_CACHE_LIMIT:
-            self._plans.popitem(last=False)
-        return plan
-
     def annotate(
         self,
         trajectory: RawTrajectory,
@@ -275,9 +215,9 @@ class SeMiTriPipeline:
         annotations are written to the semantic trajectory store, and the
         storage time is included in the latency profile.
         """
-        from repro.engine import SequentialExecutor
+        from repro.engine import Plan, SequentialExecutor
 
-        plan = self.compile_plan(sources, persist=persist)
+        plan = Plan.compile(sources, config=self._config, store=self._store, persist=persist)
         return SequentialExecutor().run_one(plan, trajectory)
 
     def annotate_many(
@@ -294,29 +234,18 @@ class SeMiTriPipeline:
         the experiments of Section 5 use.  Passing a prebuilt ``annotators``
         bundle (e.g. from a :class:`~repro.parallel.GeoContext` snapshot)
         skips even that one-time construction, which is how repeated batch
-        calls and the parallel runner amortise index building across calls.
+        calls amortise index building across calls.
         """
-        from repro.engine import SequentialExecutor
+        from repro.engine import Plan, SequentialExecutor
 
-        plan = self.compile_plan(sources, annotators=annotators, persist=persist)
+        plan = Plan.compile(
+            sources,
+            config=self._config,
+            annotators=annotators,
+            store=self._store,
+            persist=persist,
+        )
         return SequentialExecutor().run(plan, trajectories)
-
-    def annotate_prepared(
-        self,
-        trajectory: RawTrajectory,
-        annotators: LayerAnnotators,
-        persist: bool = False,
-    ) -> PipelineResult:
-        """Annotate one trajectory with an already-built annotator bundle.
-
-        The entry point prebuilt-bundle consumers use (e.g. a
-        :class:`~repro.parallel.GeoContext` snapshot): no per-call index
-        construction happens, only stage execution.
-        """
-        from repro.engine import SequentialExecutor
-
-        plan = self.compile_plan(annotators=annotators, persist=persist)
-        return SequentialExecutor().run_one(plan, trajectory)
 
     # ---------------------------------------------------------------- analysis
     @staticmethod

@@ -18,10 +18,9 @@ lives:
   same per-stage latency profile and all canonically byte-identical (see
   :mod:`repro.parallel.canonical`).
 
-:class:`~repro.core.pipeline.SeMiTriPipeline`,
-:class:`~repro.streaming.engine.StreamingAnnotationEngine` and
-:class:`~repro.parallel.runner.ParallelAnnotationRunner` are thin façades
-over this package.
+:mod:`repro.api` is the one entry layer over this package: its functions
+compile a :class:`Plan` and run it on the executor the call asks for (or, for
+:func:`repro.api.stream`, return the :class:`MicroBatchExecutor` itself).
 """
 
 from repro.engine.executors import (

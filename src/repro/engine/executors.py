@@ -263,24 +263,20 @@ def merge_shard_results(
     """Merge per-shard results into input order and commit deferred write-back.
 
     The merge is a pure reordering; when the plan persists, the merged rows
-    go through a :class:`ShardedStoreWriter` into one transaction with the
-    exact row order a single sequential writer would produce.
+    go into one :meth:`~repro.store.store.SemanticTrajectoryStore.save_annotated_trajectories`
+    transaction with the exact row order a single sequential writer would
+    produce.
 
     This is also the parent-side failure collection point for sharded runs:
     retried-then-successful results fold their failure history into the
     plan's failure log, quarantined input positions are simply absent (the
     merge tolerates gaps), and under a ``retry`` policy a failed deferred
-    commit is retried with backoff — the writer keeps its buffers across a
-    failed commit, so a retry re-sends the identical batch.
+    commit is retried with backoff — a failed commit writes nothing, so a
+    retry re-sends the identical merged batch.
     """
-    from repro.parallel.store_writer import ShardedStoreWriter  # deferred: import cycle
-
     ordered: Dict[int, PipelineResult] = {}
-    writer = (
-        ShardedStoreWriter(plan.store) if plan.persist and plan.store is not None else None
-    )
     telemetry = plan.telemetry if plan.telemetry.enabled else None
-    for shard_index, items in shard_results:
+    for _, items in shard_results:
         for order, result in items:
             if result.fault_events:
                 plan.ensure_failure_log().absorb_result(result)
@@ -290,11 +286,11 @@ def merge_shard_results(
                 # (re-parented) into the parent-process tracer.
                 telemetry.collect(result)
             ordered[order] = result
-            if writer is not None:
-                writer.add_result(shard_index, order, result)
-    if writer is not None:
-        _commit_with_retry(plan, writer.commit)
-    return [ordered[index] for index in range(count) if index in ordered]
+    merged = [ordered[index] for index in range(count) if index in ordered]
+    if plan.persist and plan.store is not None:
+        save = plan.store.save_annotated_trajectories
+        _commit_with_retry(plan, lambda: save((r.trajectory, r.episodes) for r in merged))
+    return merged
 
 
 def _commit_with_retry(plan: Plan, commit: Callable[[], object]) -> None:

@@ -88,8 +88,9 @@ class Plan:
     """Run-scoped failure reconciliation (counters, metrics, quarantine).
 
     Built by :meth:`compile` (bound to the plan's store and metrics registry)
-    or shared across plans by callers that own the run — the parallel runner
-    and the annotation service pass their own.
+    or shared across plans by callers that own the run — the parallel batch
+    path of :func:`repro.api.annotate_many` and the annotation service pass
+    their own.
     """
     _context: Optional["GeoContext"] = field(default=None, repr=False, compare=False)
 

@@ -13,17 +13,13 @@ runtime without changing a single output byte:
 * :mod:`~repro.parallel.shared` — :class:`SharedArrayBundle` and the
   :func:`share_context`/:func:`attach_context` pair that move the snapshot's
   contiguous numpy blocks (flat-index levels, CSR columns, coordinate
-  arrays) into one shared segment workers map read-only;
-* :class:`~repro.parallel.runner.ParallelAnnotationRunner` — partitions a
-  trajectory batch by object id (size-aware bin-packing or work-stealing
-  dispatch), annotates the shards on a process pool (or an in-process serial
-  executor) and merges the results back into input order;
-* :class:`~repro.parallel.store_writer.ShardedStoreWriter` — buffers
-  per-shard store rows and commits the merged batch in one transaction with
-  single-writer row ordering.
+  arrays) into one shared segment workers map read-only.
 
-:mod:`repro.parallel.canonical` defines the byte-level equality the runner is
-tested against.
+Sharding, the worker pool and the input-order merge (with its one-transaction
+store commit) live in :class:`~repro.engine.executors.ProcessPoolExecutor`,
+which :func:`repro.api.annotate_many` runs when ``workers`` asks for more
+than one process.  :mod:`repro.parallel.canonical` defines the byte-level
+equality every executor is tested against.
 """
 
 from repro.parallel.canonical import (
@@ -35,7 +31,6 @@ from repro.parallel.canonical import (
     canonical_structured,
 )
 from repro.parallel.context import GeoContext
-from repro.parallel.runner import ParallelAnnotationRunner
 from repro.parallel.shared import (
     SharedArrayBundle,
     SharedContextSpec,
@@ -44,16 +39,13 @@ from repro.parallel.shared import (
     attach_context,
     share_context,
 )
-from repro.parallel.store_writer import ShardedStoreWriter
 
 __all__ = [
     "GeoContext",
-    "ParallelAnnotationRunner",
     "SharedArrayBundle",
     "SharedContextSpec",
     "SharedGeoContext",
     "SharedManifest",
-    "ShardedStoreWriter",
     "attach_context",
     "canonical_annotation",
     "canonical_bytes",

@@ -22,6 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import PipelineConfig
+from repro.core.errors import ConfigurationError
 from repro.core.pipeline import AnnotationSources, LayerAnnotators
 from repro.streaming.matching import WindowedMapMatcher
 
@@ -52,7 +53,7 @@ class GeoContext:
             if sources.pois is not None:
                 sources.pois.coordinate_arrays()
         # Likewise pre-compile the flat batch indexes once: parallel workers
-        # and the streaming engine then share the read-only arrays zero-copy
+        # and the streaming executors then share the read-only arrays zero-copy
         # under fork instead of each compiling their own copy lazily.
         if config.compute.resolved_index_backend == "flat":
             if sources.regions is not None:
@@ -82,6 +83,21 @@ class GeoContext:
     def annotators(self) -> LayerAnnotators:
         """The prebuilt layer annotators (indexes, observation model, HMM)."""
         return self._annotators
+
+    def resolve_config(self, config: Optional[PipelineConfig]) -> PipelineConfig:
+        """The config to run this snapshot under; an explicit one must match.
+
+        The snapshot's annotators were built from its own config, so honouring
+        a different one would split behaviour between the plan's stages and
+        its prebuilt indexes.  Every entry point that accepts a snapshot next
+        to a config applies this one rule.
+        """
+        if config is not None and config != self._config:
+            raise ConfigurationError(
+                "config conflicts with the GeoContext snapshot's config; "
+                "bake the desired config into the snapshot via GeoContext.build"
+            )
+        return self._config
 
     def available_layers(self) -> List[str]:
         """Names of the annotation layers the snapshot can run."""
@@ -125,7 +141,7 @@ class GeoContext:
         """A fresh streaming map matcher over the shared road-network index.
 
         The matcher itself is stateful per episode, so every consumer (each
-        streaming engine, each session) gets its own; the expensive part — the
+        streaming executor, each session) gets its own; the expensive part — the
         road network R-tree — stays shared and frozen.
         """
         if self._sources.road_network is None:

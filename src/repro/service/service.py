@@ -2,9 +2,9 @@
 
 :class:`AnnotationService` multiplexes many concurrent GPS object streams into
 sharded :class:`~repro.engine.executors.MicroBatchExecutor` instances — the
-same streaming session loop :class:`StreamingAnnotationEngine` drives, but
-fanned out across shards so heavy traffic from many emitters does not
-serialise behind one session registry.  The service is one router tier
+same streaming session loop :func:`repro.api.stream` returns, but fanned out
+across shards so heavy traffic from many emitters does not serialise behind
+one session registry.  The service is one router tier
 (this module, a single event loop) over one shard protocol
 (:mod:`repro.service.workers`):
 
@@ -197,11 +197,7 @@ class AnnotationService:
     ):
         if isinstance(sources, GeoContext):
             context = sources
-            if config is not None and config != context.config:
-                raise ConfigurationError(
-                    "config conflicts with the GeoContext snapshot's config; "
-                    "bake the desired config into the snapshot via GeoContext.build"
-                )
+            context.resolve_config(config)
         else:
             context = GeoContext(sources, config if config is not None else PipelineConfig())
         self._context = context

@@ -206,9 +206,10 @@ class SemanticTrajectoryStore:
         them — trajectory row, its GPS records, its episode rows, their
         annotations, then the next trajectory — so autoincrement identifiers
         (and therefore the full store contents) match a single-writer run.
-        This is the commit path of the sharded store writer: shards buffer
-        their results and the merged batch lands here through the same
-        ``executemany`` statements the incremental writers use, atomically.
+        This is the deferred commit path of the batch executors: shard
+        results are merged into input order and the whole batch lands here
+        through the same ``executemany`` statements the incremental writers
+        use, atomically.
         """
         cursor = self._connection.cursor()
         episode_ids: List[List[int]] = []

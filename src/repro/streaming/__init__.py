@@ -13,14 +13,15 @@ results on the same stream:
   observed;
 * :class:`~repro.streaming.session.SessionManager` /
   :class:`~repro.streaming.session.Session` — per-object mutable state with
-  gap-based trajectory close-out and LRU eviction;
-* :class:`~repro.streaming.engine.StreamingAnnotationEngine` — the façade
-  micro-batching events, routing sealed episodes to the annotation layers
-  and persisting incrementally through the semantic trajectory store.
+  gap-based trajectory close-out and LRU eviction.
+
+The session loop that micro-batches events, routes sealed episodes to the
+annotation layers and persists each closed trajectory is
+:class:`~repro.engine.executors.MicroBatchExecutor`; :func:`repro.api.stream`
+compiles a plan and returns one.
 """
 
 from repro.streaming.cleaning import StreamingGpsCleaner, clean_stream
-from repro.streaming.engine import EngineStats, StreamingAnnotationEngine
 from repro.streaming.matching import WindowedMapMatcher
 from repro.streaming.session import (
     OpenTrajectory,
@@ -32,14 +33,12 @@ from repro.streaming.session import (
 from repro.streaming.stops import IncrementalStopMoveDetector
 
 __all__ = [
-    "EngineStats",
     "IncrementalStopMoveDetector",
     "OpenTrajectory",
     "SealedTrajectory",
     "Session",
     "SessionManager",
     "SessionUpdate",
-    "StreamingAnnotationEngine",
     "StreamingGpsCleaner",
     "WindowedMapMatcher",
     "clean_stream",

@@ -32,9 +32,15 @@ if _PIPELINE_EXECUTOR_WORKERS:
     def _annotate_many_via_process_pool(
         self, trajectories, sources, persist=False, annotators=None
     ):
-        from repro.engine import ProcessPoolExecutor
+        from repro.engine import Plan, ProcessPoolExecutor
 
-        plan = self.compile_plan(sources, annotators=annotators, persist=persist)
+        plan = Plan.compile(
+            sources,
+            config=self.config,
+            annotators=annotators,
+            store=self.store,
+            persist=persist,
+        )
         with ProcessPoolExecutor(workers=_WORKERS) as executor:
             return executor.run(plan, list(trajectories))
 

@@ -1,5 +1,5 @@
 """Tests for the single public API surface (:mod:`repro.api`) and the
-deprecation story of the legacy top-level entry points."""
+removal of the legacy top-level class entry points."""
 
 from __future__ import annotations
 
@@ -37,32 +37,21 @@ class TestSurface:
             assert getattr(repro, name) is getattr(repro.api, name)
             assert name in repro.__all__
 
-    def test_legacy_entry_points_warn_with_migration_hint(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pipeline_cls = repro.SeMiTriPipeline
-            engine_cls = repro.StreamingAnnotationEngine
-        messages = [str(w.message) for w in caught if w.category is DeprecationWarning]
-        assert len(messages) == 2
-        assert "repro.open_pipeline()" in messages[0]
-        assert "repro.stream()" in messages[1]
-        # The aliases delegate to the real classes — old code keeps working.
-        from repro.core.pipeline import SeMiTriPipeline
-        from repro.streaming.engine import StreamingAnnotationEngine
-
-        assert pipeline_cls is SeMiTriPipeline
-        assert engine_cls is StreamingAnnotationEngine
+    def test_legacy_entry_points_are_removed(self):
+        """The deprecated class alias is gone from the package root."""
+        with pytest.raises(AttributeError):
+            repro.SeMiTriPipeline
+        assert "SeMiTriPipeline" not in dir(repro)
 
     def test_deep_imports_stay_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.core import SeMiTriPipeline  # noqa: F401
-            from repro.streaming import StreamingAnnotationEngine  # noqa: F401
+            from repro.engine import MicroBatchExecutor  # noqa: F401
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.NoSuchThing
-        assert "SeMiTriPipeline" in dir(repro)
         assert "serve" in dir(repro)
 
 
@@ -90,8 +79,9 @@ class TestEntryPoints:
         config = PipelineConfig.for_vehicles()
         trajectories = car_dataset.trajectories[:6]
         sequential = repro.annotate_many(trajectories, annotation_sources, config=config)
-        # workers=4 with the serial executor exercises the parallel runner
-        # (sharding + merge) without paying process spawn in a unit test.
+        # workers=4 with the serial executor exercises the parallel path
+        # (snapshot + deferred merge) without paying process spawn in a unit
+        # test.
         sharded = repro.annotate_many(
             trajectories,
             annotation_sources,
@@ -114,13 +104,17 @@ class TestEntryPoints:
             repro.annotate_many(car_dataset.trajectories[:1])
 
     def test_stream_returns_a_live_engine(self, car_dataset, annotation_sources):
+        from repro.engine import MicroBatchExecutor
+
         config = PipelineConfig.for_vehicles()
-        engine = repro.stream(annotation_sources, config=config)
+        executor = repro.stream(annotation_sources, config=config)
+        assert isinstance(executor, MicroBatchExecutor)
+        assert executor.plan.config == config
         trajectory = car_dataset.trajectories[0]
         results = []
         for point in trajectory.points:
-            results.extend(engine.ingest(trajectory.object_id, point))
-        results.extend(engine.close_all())
+            results.extend(executor.ingest(trajectory.object_id, point))
+        results.extend(executor.close_all())
         assert results and results[0].trajectory.object_id == trajectory.object_id
 
     def test_serve_returns_an_unstarted_service(self, car_dataset, annotation_sources):

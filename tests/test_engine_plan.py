@@ -302,15 +302,13 @@ def test_swallowed_per_trajectory_failure_poisons_outer_scope(annotation_sources
 
 
 def test_plan_cache_distinguishes_sources(annotation_sources):
-    """A plan cached without sources must not shadow one compiled with them."""
-    from repro.core import SeMiTriPipeline
+    """Plans sharing one annotator bundle keep their own sources."""
+    from repro.core import LayerAnnotators
 
-    pipeline = SeMiTriPipeline(PipelineConfig.for_vehicles())
-    bundle = pipeline.build_annotators(annotation_sources)
-    bare = pipeline.compile_plan(annotators=bundle)
+    config = PipelineConfig.for_vehicles()
+    bundle = LayerAnnotators.build(annotation_sources, config)
+    bare = Plan.compile(config=config, annotators=bundle)
     assert bare.sources is None
-    sourced = pipeline.compile_plan(annotation_sources, annotators=bundle)
+    sourced = Plan.compile(annotation_sources, config=config, annotators=bundle)
     assert sourced.sources is annotation_sources
     assert sourced.geo_context() is not None  # would raise on the bare plan
-    assert pipeline.compile_plan(annotation_sources, annotators=bundle) is sourced
-    assert pipeline.compile_plan(annotators=bundle) is bare

@@ -39,7 +39,7 @@ from repro.faults import (
     tag_failure_stage,
 )
 from repro.parallel.canonical import canonical_bytes
-from repro.parallel.runner import ParallelAnnotationRunner
+from repro.parallel.context import GeoContext
 from repro.service import AnnotationService
 from repro.store.store import SemanticTrajectoryStore
 
@@ -387,13 +387,21 @@ class TestProcessPoolRecovery:
         poison = car_dataset.trajectories[0].object_id
         monkeypatch.setenv("SEMITRI_FAULTS", f"raise@map_match:obj={poison},times=-1")
         config = _config(mode="skip")
-        runner = ParallelAnnotationRunner(config, workers=2)
-        with runner:
-            first = runner.annotate_many(car_dataset.trajectories, annotation_sources)
-            second = runner.annotate_many(car_dataset.trajectories, annotation_sources)
+        # The caller that owns a run of several batches owns its failure log:
+        # plans compiled for each batch share it, so counters reconcile over
+        # the whole run on one warm pool.
+        context = GeoContext.build(annotation_sources, config)
+        log = FailureLog(config.failure)
+        with ProcessPoolExecutor(workers=2) as executor:
+            first = executor.run(
+                Plan.from_context(context, failure_log=log), car_dataset.trajectories
+            )
+            second = executor.run(
+                Plan.from_context(context, failure_log=log), car_dataset.trajectories
+            )
         poison_count = sum(1 for t in car_dataset.trajectories if t.object_id == poison)
         assert len(first) == len(second) == len(car_dataset.trajectories) - poison_count
-        assert runner.failure_log.quarantined == 2 * poison_count
+        assert log.quarantined == 2 * poison_count
 
 
 # ------------------------------------------------------- micro-batch isolation

@@ -17,11 +17,11 @@ from typing import List
 
 import pytest
 
+import repro
 from repro.core import PipelineConfig, PipelineResult, SeMiTriPipeline
 from repro.core.config import ComputeConfig, StreamingConfig, TrajectoryIdentificationConfig
-from repro.parallel import GeoContext, ParallelAnnotationRunner, canonical_bytes
+from repro.parallel import GeoContext, canonical_bytes
 from repro.parallel.canonical import canonical_result
-from repro.streaming import StreamingAnnotationEngine
 
 _MATRIX = [
     ("tree", "python"),
@@ -95,7 +95,7 @@ def test_streaming_matches_sequential_per_index_backend(
     )
     sequential = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
 
-    engine = StreamingAnnotationEngine(annotation_sources, config=config)
+    engine = repro.stream(annotation_sources, config=config)
     streamed: List[PipelineResult] = []
     for trajectory in trajectories:
         for point in trajectory.points:
@@ -112,9 +112,10 @@ def test_parallel_matches_sequential_per_index_backend(
     config = _with_backends(PipelineConfig.for_vehicles(), index_backend, "numpy")
     sequential = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
 
-    context = GeoContext.build(annotation_sources, config)
-    runner = ParallelAnnotationRunner(config=config, workers=2, executor="serial")
-    parallel = runner.annotate_many(trajectories, context=context)
+    # The snapshot's config rules the run, so it carries the serial executor.
+    serial = config.with_overrides({"parallel.executor": "serial"})
+    context = GeoContext.build(annotation_sources, serial)
+    parallel = repro.annotate_many(trajectories, context=context, workers=2)
     assert canonical_bytes(parallel) == canonical_bytes(sequential)
 
 

@@ -1,14 +1,28 @@
-"""Unit coverage for the parallel runtime: sharding, snapshot reuse, freezing."""
+"""Unit coverage for the parallel batch path: sharding, executor choice,
+snapshot rules, freezing and pool cleanup.
+
+``repro.annotate_many(..., workers=W)`` compiles a plan from a
+:class:`GeoContext` snapshot and runs it on a
+:class:`~repro.engine.executors.ProcessPoolExecutor` (or, with the serial
+executor, a deferred-write-back :class:`SequentialExecutor`); these tests pin
+what that path promises.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import PipelineConfig, SeMiTriPipeline
+import repro
+import repro.engine
+from repro.core import AnnotationSources, PipelineConfig, SeMiTriPipeline
 from repro.core.config import ParallelConfig
 from repro.core.errors import ConfigurationError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.parallel import GeoContext, ParallelAnnotationRunner, canonical_bytes
+from repro.engine import ProcessPoolExecutor, SequentialExecutor
+from repro.engine import executors as executors_mod
+from repro.engine.executors import dispatch_shards
+from repro.engine.plan import Plan
+from repro.parallel import GeoContext, canonical_bytes
 
 
 def _trajectories(objects: int = 5, per_object: int = 3, length: int = 6):
@@ -25,11 +39,17 @@ def _trajectories(objects: int = 5, per_object: int = 3, length: int = 6):
     return trajectories
 
 
+def _shards(trajectories, workers: int):
+    """The shards a default-config pool of ``workers`` processes builds."""
+    parallel = ParallelConfig()
+    count = max(1, min(workers * parallel.shards_per_worker, len(trajectories)))
+    return dispatch_shards(trajectories, count, parallel.dispatch)
+
+
 def test_sharding_groups_by_object_and_is_deterministic():
-    runner = ParallelAnnotationRunner(workers=2)
     trajectories = _trajectories()
-    shards = runner._shard(trajectories)
-    again = runner._shard(trajectories)
+    shards = _shards(trajectories, workers=2)
+    again = _shards(trajectories, workers=2)
     assert [(i, [t.trajectory_id for _, t in items]) for i, items in shards] == [
         (i, [t.trajectory_id for _, t in items]) for i, items in again
     ]
@@ -48,40 +68,75 @@ def test_sharding_groups_by_object_and_is_deterministic():
 
 
 def test_shard_count_never_exceeds_object_count():
-    runner = ParallelAnnotationRunner(workers=8)
-    trajectories = _trajectories(objects=2)
-    shards = runner._shard(trajectories)
+    shards = _shards(_trajectories(objects=2), workers=8)
     assert len(shards) <= 2
 
 
 def test_annotate_many_requires_sources_or_context():
-    runner = ParallelAnnotationRunner(workers=1)
     with pytest.raises(ConfigurationError):
-        runner.annotate_many(_trajectories(objects=1))
+        repro.annotate_many(_trajectories(objects=1), workers=2)
 
 
-def test_runner_defaults_come_from_pipeline_config():
-    config = PipelineConfig(parallel=ParallelConfig(workers=3, executor="serial"))
-    runner = ParallelAnnotationRunner(config=config)
-    assert runner.workers == 3
-    assert runner.executor_kind == "serial"
-    auto = ParallelAnnotationRunner(workers=2)
-    assert auto.executor_kind == "process"
-    single = ParallelAnnotationRunner(workers=1)
-    assert single.executor_kind == "serial"
+def test_runner_defaults_come_from_pipeline_config(annotation_sources, monkeypatch):
+    """``annotate_many`` picks its executor from ``config.parallel`` and ``workers``."""
+    built = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            built.append(("process", kwargs["workers"]))
+            super().__init__(**kwargs)
+
+        def run(self, plan, trajectories):
+            return []
+
+    class RecordingSequential(SequentialExecutor):
+        def __init__(self, deferred_writeback: bool = False):
+            built.append(("deferred" if deferred_writeback else "sequential", None))
+            super().__init__(deferred_writeback)
+
+        def run(self, plan, trajectories):
+            return []
+
+    # The entry point imports its executors from the engine package.
+    monkeypatch.setattr(repro.engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(repro.engine, "SequentialExecutor", RecordingSequential)
+    context = GeoContext.build(annotation_sources, PipelineConfig())
+    batch = _trajectories(objects=2, per_object=1)
+
+    serial = PipelineConfig(parallel=ParallelConfig(workers=3, executor="serial"))
+    serial_context = GeoContext(annotation_sources, serial, annotators=context.annotators)
+    repro.annotate_many(batch, context=serial_context)
+    repro.annotate_many(batch, context=context, workers=2)
+    repro.annotate_many(batch, context=context, workers=1)
+    repro.annotate_many(batch, context=context)
+    forced = PipelineConfig(parallel=ParallelConfig(executor="process"))
+    forced_context = GeoContext(annotation_sources, forced, annotators=context.annotators)
+    repro.annotate_many(batch, context=forced_context)
+    assert built == [
+        ("deferred", None),
+        ("process", 2),
+        ("sequential", None),
+        ("sequential", None),
+        ("process", 1),
+    ]
+    with pytest.raises(ConfigurationError):
+        repro.annotate_many(batch, context=context, workers=-1)
 
 
 def test_empty_batch_returns_empty(annotation_sources):
-    runner = ParallelAnnotationRunner(workers=2, executor="serial")
     context = GeoContext.build(annotation_sources, PipelineConfig())
-    assert runner.annotate_many([], context=context) == []
+    assert repro.annotate_many([], context=context, workers=2) == []
+    with ProcessPoolExecutor(workers=2) as executor:
+        assert executor.run(Plan.from_context(context), []) == []
+        assert executor._pool is None  # nothing to shard, nothing spawned
+    deferred = SequentialExecutor(deferred_writeback=True)
+    assert deferred.run(Plan.from_context(context), []) == []
 
 
-def test_context_is_cached_per_sources_and_freezes_indexes(annotation_sources):
+def test_geo_context_freezes_source_indexes(annotation_sources):
+    """Building a snapshot (what the parallel path does) freezes every index."""
     config = PipelineConfig.for_vehicles()
-    runner = ParallelAnnotationRunner(config=config, workers=1)
-    context = runner.context_for(annotation_sources)
-    assert runner.context_for(annotation_sources) is context
+    context = GeoContext.build(annotation_sources, config)
     assert annotation_sources.road_network._index.frozen
     assert annotation_sources.regions._index.frozen
     assert annotation_sources.pois._index.frozen
@@ -92,51 +147,84 @@ def test_context_is_cached_per_sources_and_freezes_indexes(annotation_sources):
 def test_runner_rejects_context_with_conflicting_config(annotation_sources):
     """Serial and process executors must segment identically: configs must match."""
     context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
-    runner = ParallelAnnotationRunner(config=PipelineConfig.for_people(), workers=1)
     with pytest.raises(ConfigurationError):
-        runner.annotate_many(_trajectories(objects=1), context=context)
+        repro.annotate_many(
+            _trajectories(objects=1), context=context, config=PipelineConfig.for_people()
+        )
+    with pytest.raises(ConfigurationError):  # sources that are not the snapshot's
+        repro.annotate_many(_trajectories(objects=1), AnnotationSources(), context=context)
 
 
-def test_dropped_runner_releases_pool_and_registry(annotation_sources):
-    """GC of a never-closed runner stops its workers and clears the fork registry."""
+def test_dropped_pool_executor_releases_workers_and_registry(annotation_sources):
+    """GC of a never-closed pool stops its workers and clears the fork registry."""
     import gc
-
-    import repro.parallel.runner as runner_mod
 
     config = PipelineConfig.for_vehicles()
     context = GeoContext.build(annotation_sources, config)
-    runner = ParallelAnnotationRunner(config=config, workers=2, executor="process")
-    runner.annotate_many(_trajectories(objects=4, per_object=1), context=context)
-    pool = runner._pool
-    assert pool is not None and len(runner_mod._FORK_CONTEXTS) >= 1
-    before = len(runner_mod._FORK_CONTEXTS)
-    del runner
+    executor = ProcessPoolExecutor(workers=2)
+    executor.run(Plan.from_context(context), _trajectories(objects=4, per_object=1))
+    pool = executor._pool
+    assert pool is not None and len(executors_mod._FORK_CONTEXTS) >= 1
+    before = len(executors_mod._FORK_CONTEXTS)
+    del executor
     gc.collect()
-    assert len(runner_mod._FORK_CONTEXTS) == before - 1
+    assert len(executors_mod._FORK_CONTEXTS) == before - 1
     with pytest.raises(RuntimeError):  # executor was shut down by the finalizer
         pool.submit(int)
 
 
 def test_engine_rejects_config_conflicting_with_snapshot(annotation_sources):
     """A GeoContext carries its own config; a different explicit one is an error."""
-    from repro.streaming import StreamingAnnotationEngine
-
     context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
-    engine = StreamingAnnotationEngine(context)  # snapshot config adopted
-    assert engine.config == PipelineConfig.for_vehicles()
-    assert StreamingAnnotationEngine(context, config=PipelineConfig.for_vehicles()) is not None
+    executor = repro.stream(context)  # snapshot config adopted
+    assert executor.plan.config == PipelineConfig.for_vehicles()
+    assert repro.stream(context, config=PipelineConfig.for_vehicles()) is not None
     with pytest.raises(ConfigurationError):
-        StreamingAnnotationEngine(context, config=PipelineConfig.for_people())
+        repro.stream(context, config=PipelineConfig.for_people())
     with pytest.raises(ConfigurationError):
         # An explicitly requested default config is also a conflict here.
-        StreamingAnnotationEngine(context, config=PipelineConfig())
+        repro.stream(context, config=PipelineConfig())
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    ["annotate_many_workers_1", "annotate_many_workers_2", "compile_plan", "stream", "serve"],
+)
+def test_every_entry_point_applies_the_snapshot_config_rule(
+    entry_point, annotation_sources, car_dataset
+):
+    """One rule everywhere: an explicit config must equal the snapshot's."""
+    context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+    batch = car_dataset.trajectories[:2]
+    calls = {
+        "annotate_many_workers_1": lambda **kw: repro.annotate_many(
+            batch, context=context, workers=1, **kw
+        ),
+        "annotate_many_workers_2": lambda **kw: repro.annotate_many(
+            batch, context=context, workers=2, **kw
+        ),
+        "compile_plan": lambda **kw: repro.compile_plan(context=context, **kw),
+        "stream": lambda **kw: repro.stream(context, **kw),
+        "serve": lambda **kw: repro.serve(context, **kw),
+    }
+    call = calls[entry_point]
+    call()  # the snapshot's config rules
+    call(config=PipelineConfig.for_vehicles())  # an equal explicit config is fine
+    with pytest.raises(ConfigurationError):
+        call(config=PipelineConfig.for_people())
 
 
 def test_serial_runner_matches_sequential_pipeline(annotation_sources, car_dataset):
+    """The serial-executor run of ``annotate_many(workers=4)`` equals sequential."""
     config = PipelineConfig.for_vehicles()
     sequential = SeMiTriPipeline(config).annotate_many(
         car_dataset.trajectories, annotation_sources
     )
-    runner = ParallelAnnotationRunner(config=config, workers=4, executor="serial")
-    parallel = runner.annotate_many(car_dataset.trajectories, annotation_sources)
+    parallel = repro.annotate_many(
+        car_dataset.trajectories,
+        annotation_sources,
+        config=config,
+        workers=4,
+        overrides={"parallel.executor": "serial"},
+    )
     assert canonical_bytes(parallel) == canonical_bytes(sequential)

@@ -9,7 +9,7 @@ Covers the acceptance criteria of the parallel-scaling fix:
   (asserted with :func:`numpy.shares_memory`) instead of copying;
 * canonical output bytes are identical across every
   ``dispatch`` × ``shared_memory`` combination and equal to sequential;
-* no ``/dev/shm`` segment survives a runner/executor close, a dropped
+* no ``/dev/shm`` segment survives an executor close, a dropped
   (garbage-collected) executor or a SIGKILLed worker.
 """
 
@@ -25,12 +25,13 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.core import PipelineConfig, SeMiTriPipeline
 from repro.core.errors import ConfigurationError
 from repro.engine.executors import ProcessPoolExecutor, dispatch_shards
+from repro.engine.plan import Plan
 from repro.parallel import (
     GeoContext,
-    ParallelAnnotationRunner,
     SharedArrayBundle,
     canonical_bytes,
     canonical_digest,
@@ -181,10 +182,7 @@ class TestShareContext:
         with share_context(flat_context) as shared:
             context, bundle = attach_context(shared.spec)
             try:
-                runner = ParallelAnnotationRunner(
-                    config=_people_config(), workers=1, executor="serial"
-                )
-                results = runner.annotate_many(small_batch, context=context)
+                results = repro.annotate_many(small_batch, context=context)
                 assert canonical_bytes(results) == sequential_bytes
             finally:
                 bundle.close()
@@ -220,20 +218,15 @@ class TestDispatch:
 @pytest.mark.parametrize("dispatch", ["static", "balanced", "stealing"])
 @pytest.mark.parametrize("shared_memory", ["on", "off"])
 def test_pool_parity_across_dispatch_and_transport(
-    dispatch, shared_memory, small_batch, annotation_sources, sequential_bytes
+    dispatch, shared_memory, small_batch, flat_context, sequential_bytes
 ):
     """Canonical bytes are identical for every dispatch × transport combo."""
-    with ParallelAnnotationRunner(
-        config=_people_config(),
-        workers=TEST_WORKERS,
-        executor="process",
-        dispatch=dispatch,
-        shared_memory=shared_memory,
-    ) as runner:
-        assert runner.dispatch == dispatch
-        assert runner.shared_memory == shared_memory
-        results = runner.annotate_many(small_batch, annotation_sources)
-        segment = runner.shared_segment_name
+    with ProcessPoolExecutor(
+        workers=TEST_WORKERS, dispatch=dispatch, shared_memory=shared_memory
+    ) as executor:
+        assert executor.dispatch == dispatch
+        results = executor.run(Plan.from_context(flat_context), small_batch)
+        segment = executor.shared_segment_name
         if shared_memory == "on":
             assert segment is not None and _segment_paths(segment)
         else:
@@ -252,23 +245,17 @@ def canonical_digest_from(payload: bytes) -> str:
 
 # ------------------------------------------------------------------ cleanup
 class TestSegmentCleanup:
-    def test_runner_close_unlinks_segment(self, small_batch, annotation_sources):
-        runner = ParallelAnnotationRunner(
-            config=_people_config(),
-            workers=TEST_WORKERS,
-            executor="process",
-            shared_memory="on",
-        )
-        runner.annotate_many(small_batch, annotation_sources)
-        segment = runner.shared_segment_name
+    def test_runner_close_unlinks_segment(self, flat_context, small_batch):
+        """An explicit ``close()`` of the pool unlinks its segment at once."""
+        executor = ProcessPoolExecutor(workers=TEST_WORKERS, shared_memory="on")
+        executor.run(Plan.from_context(flat_context), small_batch)
+        segment = executor.shared_segment_name
         assert segment is not None and _segment_paths(segment)
-        runner.close()
+        executor.close()
         assert not _segment_paths(segment)
-        assert runner.shared_segment_name is None
+        assert executor.shared_segment_name is None
 
     def test_dropped_executor_unlinks_segment(self, flat_context, small_batch):
-        from repro.engine.plan import Plan
-
         executor = ProcessPoolExecutor(workers=2, shared_memory="on")
         plan = Plan.from_context(flat_context)
         executor.run(plan, small_batch[:4])
@@ -280,8 +267,6 @@ class TestSegmentCleanup:
 
     def test_worker_crash_unlinks_segment(self, flat_context, small_batch):
         from concurrent.futures import BrokenExecutor
-
-        from repro.engine.plan import Plan
 
         executor = ProcessPoolExecutor(workers=2, shared_memory="on")
         plan = Plan.from_context(flat_context)

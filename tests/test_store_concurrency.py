@@ -1,24 +1,30 @@
-"""Store concurrency: interleaved sharded commits equal a single-writer run.
+"""Store concurrency: out-of-order sharded results commit like a single writer.
 
-The :class:`ShardedStoreWriter` receives per-shard results in arbitrary
-completion order (and, in-process, from multiple threads); its commit must
-produce exactly the row set, row order and autoincrement identifiers of a
-sequential single-writer run — and must be atomic when any row is rejected.
+:func:`~repro.engine.executors.merge_shard_results` receives per-shard
+results in arbitrary completion order (from a process pool, or in-process
+from several producer threads).  With a persisting plan its deferred commit
+must produce exactly the row set, row order and autoincrement identifiers of
+a sequential single-writer run — atomically when any row is rejected, and
+re-sending the identical batch when a ``retry`` policy retries the commit.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 from typing import List, Tuple
 
 import pytest
 
 from repro.core.annotations import activity_annotation
-from repro.core.config import StopMoveConfig
-from repro.core.episodes import Episode, EpisodeKind
+from repro.core.config import PipelineConfig, StopMoveConfig
+from repro.core.episodes import Episode
 from repro.core.errors import StoreError
+from repro.core.pipeline import LayerAnnotators, PipelineResult
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.parallel import ShardedStoreWriter
+from repro.engine.executors import merge_shard_results
+from repro.engine.plan import Plan
+from repro.faults.inject import FaultInjector, FaultPlan
 from repro.preprocessing.stops import StopMoveDetector
 from repro.store.store import SemanticTrajectoryStore
 
@@ -48,6 +54,21 @@ def _make_workload(count: int = 8) -> List[Tuple[RawTrajectory, List[Episode]]]:
     return workload
 
 
+def _results(workload) -> List[PipelineResult]:
+    return [PipelineResult(trajectory, episodes) for trajectory, episodes in workload]
+
+
+def _persisting_plan(store: SemanticTrajectoryStore, config=None, faults=None) -> Plan:
+    """A plan whose deferred commit writes to ``store`` (no annotation layers)."""
+    return Plan.compile(
+        config=config,
+        annotators=LayerAnnotators(),
+        store=store,
+        persist=True,
+        faults=faults,
+    )
+
+
 def _single_writer_store(workload) -> SemanticTrajectoryStore:
     store = SemanticTrajectoryStore()
     for trajectory, episodes in workload:
@@ -74,19 +95,13 @@ def test_interleaved_shard_commits_match_single_writer():
     """Shards finishing out of order still commit single-writer rows."""
     workload = _make_workload()
     reference = _single_writer_store(workload)
+    results = _results(workload)
 
     store = SemanticTrajectoryStore()
-    writer = ShardedStoreWriter(store)
     # Completion order scrambled across 3 shards: last shard reports first.
-    shard_of = lambda order: order % 3
-    for order in (7, 2, 5, 0, 3, 6, 1, 4):
-        trajectory, episodes = workload[order]
-        writer.add(shard_of(order), order, trajectory, episodes)
-    assert writer.pending_count == len(workload)
-    assert writer.shard_indexes == [0, 1, 2]
-    writer.commit()
-    assert writer.pending_count == 0
-    assert writer.committed_total == len(workload)
+    shard_results = [(order % 3, [(order, results[order])]) for order in (7, 2, 5, 0, 3, 6, 1, 4)]
+    merged = merge_shard_results(_persisting_plan(store), len(workload), shard_results)
+    assert merged == results  # input order, whatever the completion order
 
     _assert_stores_identical(store, reference)
     reference.close()
@@ -94,32 +109,33 @@ def test_interleaved_shard_commits_match_single_writer():
 
 
 def test_threaded_shard_adds_match_single_writer():
-    """Concurrent in-process adds (one thread per shard) stay consistent."""
+    """Shard results produced concurrently (one thread per shard) stay consistent."""
     workload = _make_workload()
     reference = _single_writer_store(workload)
+    results = _results(workload)
 
-    store = SemanticTrajectoryStore()
-    writer = ShardedStoreWriter(store)
+    completed: "queue.Queue[Tuple[int, List[Tuple[int, PipelineResult]]]]" = queue.Queue()
     shards = {0: [0, 3, 6], 1: [1, 4, 7], 2: [2, 5]}
 
-    def feed(shard_index: int, orders: List[int]) -> None:
+    def produce(shard_index: int, orders: List[int]) -> None:
         for order in orders:
-            trajectory, episodes = workload[order]
-            writer.add_result(
-                shard_index,
-                order,
-                type("R", (), {"trajectory": trajectory, "episodes": episodes})(),
-            )
+            completed.put((shard_index, [(order, results[order])]))
 
     threads = [
-        threading.Thread(target=feed, args=(shard_index, orders))
+        threading.Thread(target=produce, args=(shard_index, orders))
         for shard_index, orders in shards.items()
     ]
     for thread in threads:
         thread.start()
+    store = SemanticTrajectoryStore()
+    merged = merge_shard_results(
+        _persisting_plan(store),
+        len(workload),
+        (completed.get(timeout=10.0) for _ in range(len(workload))),
+    )
     for thread in threads:
         thread.join()
-    writer.commit()
+    assert merged == results
 
     _assert_stores_identical(store, reference)
     reference.close()
@@ -132,16 +148,15 @@ def test_commit_is_atomic_on_rejected_row():
     store = SemanticTrajectoryStore()
     # The first trajectory is already stored -> the batch must be rejected.
     store.save_trajectory(workload[0][0])
-    writer = ShardedStoreWriter(store)
-    for order, (trajectory, episodes) in enumerate(workload):
-        writer.add(order % 2, order, trajectory, episodes)
+    shard_results = [
+        (order % 2, [(order, result)]) for order, result in enumerate(_results(workload))
+    ]
     with pytest.raises(StoreError):
-        writer.commit()
-    # Nothing from the batch landed; the buffers survive for inspection/retry.
+        merge_shard_results(_persisting_plan(store), len(workload), shard_results)
+    # Nothing from the batch landed.
     assert store.trajectory_count() == 1
     assert store.episode_count() == 0
     assert store.annotation_count() == 0
-    assert writer.pending_count == len(workload)
     store.close()
 
 
@@ -149,16 +164,50 @@ def test_multiple_commits_append_in_order():
     """Successive commits extend the store exactly like continued sequential writes."""
     workload = _make_workload()
     reference = _single_writer_store(workload)
+    results = _results(workload)
 
     store = SemanticTrajectoryStore()
-    writer = ShardedStoreWriter(store)
-    for order in (1, 0, 2):
-        writer.add(0, order, *workload[order])
-    writer.commit()
-    for order in (5, 7, 3, 4, 6):
-        writer.add(1, order, *workload[order])
-    writer.commit()
-    assert writer.committed_total == len(workload)
+    plan = _persisting_plan(store)
+    first, second = results[:3], results[3:]
+    merge_shard_results(plan, 3, [(0, [(order, first[order])]) for order in (1, 0, 2)])
+    merge_shard_results(plan, 5, [(1, [(order, second[order])]) for order in (2, 4, 0, 1, 3)])
+
+    _assert_stores_identical(store, reference)
+    reference.close()
+    store.close()
+
+
+def test_retry_policy_resends_the_same_batch():
+    """A failed deferred commit is retried with the identical merged batch."""
+    workload = _make_workload()
+    reference = _single_writer_store(workload)
+    results = _results(workload)
+
+    store = SemanticTrajectoryStore()
+    attempts: List[List[str]] = []
+    save = store.save_annotated_trajectories
+
+    def recording_save(items, store_points=True):
+        items = list(items)
+        attempts.append([trajectory.trajectory_id for trajectory, _ in items])
+        return save(items, store_points=store_points)
+
+    store.save_annotated_trajectories = recording_save  # type: ignore[method-assign]
+    config = PipelineConfig().with_overrides(
+        {"failure.mode": "retry", "failure.max_retries": 2, "failure.backoff_base": 0.0}
+    )
+    plan = _persisting_plan(
+        store, config=config, faults=FaultInjector(FaultPlan.parse("commit:n=1,times=1"))
+    )
+    shard_results = [(order % 3, [(order, results[order])]) for order in (7, 2, 5, 0, 3, 6, 1, 4)]
+    merged = merge_shard_results(plan, len(workload), shard_results)
+    assert merged == results
+    # The first commit failed and rolled back; the retry re-sent the same
+    # rows in the same (input) order and committed them exactly once.
+    expected = [trajectory.trajectory_id for trajectory, _ in workload]
+    assert attempts == [expected, expected]
+    log = plan.failure_log
+    assert log is not None and (log.failures, log.retries) == (1, 1)
 
     _assert_stores_identical(store, reference)
     reference.close()

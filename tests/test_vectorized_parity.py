@@ -3,8 +3,8 @@
 For every seed dataset the pipeline runs once with
 ``compute.backend="python"`` (the scalar reference) and once with
 ``compute.backend="numpy"`` (the vectorized kernels), across all three
-execution modes — sequential ``annotate_many``, the streaming engine and the
-parallel runner.  The canonical bytes of :mod:`repro.parallel.canonical`
+execution modes — sequential ``annotate_many``, the streaming executor and
+the parallel batch path.  The canonical bytes of :mod:`repro.parallel.canonical`
 must agree **exactly**: the flag/distance kernels are bit-equal by
 construction, the ``exp``-dependent kernels only feed discrete decisions
 (matched segment ids, decoded categories), and both held on every seed
@@ -19,6 +19,7 @@ from typing import List
 
 import pytest
 
+import repro
 from repro.core import AnnotationSources, PipelineConfig, PipelineResult, SeMiTriPipeline
 from repro.core.config import (
     ComputeConfig,
@@ -27,9 +28,8 @@ from repro.core.config import (
     TrajectoryIdentificationConfig,
 )
 from repro.core.errors import ConfigurationError
-from repro.parallel import ParallelAnnotationRunner, canonical_bytes
+from repro.parallel import canonical_bytes
 from repro.parallel.canonical import canonical_result
-from repro.streaming import StreamingAnnotationEngine
 
 
 def _canonical_without_ids(results: List[PipelineResult]) -> List[dict]:
@@ -72,7 +72,7 @@ def _dataset(name, taxi_dataset, car_dataset, people_dataset):
 
 
 def _run_engine(trajectories, sources, config) -> List[PipelineResult]:
-    engine = StreamingAnnotationEngine(sources, config=config)
+    engine = repro.stream(sources, config=config)
     results: List[PipelineResult] = []
     for trajectory in trajectories:
         for point in trajectory.points:
@@ -131,15 +131,18 @@ def test_streaming_backend_parity(
 def test_parallel_backend_parity(
     dataset_name, taxi_dataset, car_dataset, people_dataset, annotation_sources
 ):
-    """The numpy parallel runner equals the scalar sequential reference."""
+    """The numpy parallel batch path equals the scalar sequential reference."""
     trajectories, base = _dataset(dataset_name, taxi_dataset, car_dataset, people_dataset)
     scalar = SeMiTriPipeline(_with_backend(base, "python")).annotate_many(
         trajectories, annotation_sources
     )
-    runner = ParallelAnnotationRunner(
-        config=_with_backend(base, "numpy"), workers=2, executor="serial"
+    parallel = repro.annotate_many(
+        trajectories,
+        annotation_sources,
+        config=_with_backend(base, "numpy"),
+        workers=2,
+        overrides={"parallel.executor": "serial"},
     )
-    parallel = runner.annotate_many(trajectories, annotation_sources)
     assert canonical_bytes(parallel) == canonical_bytes(scalar)
 
 
